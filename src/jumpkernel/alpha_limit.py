@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -139,11 +140,20 @@ def _load_file_cache() -> dict:
 
 
 def _store_file_cache(cache: dict) -> None:
+    # Suite jobs run in threads and may store at the same time, so each
+    # writes a private temp file beside the cache and renames it into
+    # place: readers see the old file or the new one, never a partial one.
     try:
         path = _cache_path()
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({str(k): v for k, v in sorted(cache.items())}, fh, sort_keys=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump({str(k): v for k, v in sorted(cache.items())}, fh, sort_keys=True)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError:
         pass
 

@@ -58,6 +58,7 @@ from . import alpha_limit
 from .fields import save_grid_field
 from .quadrules import richardson_fit
 from .config import (
+    EXPECTATIONS,
     ExperimentConfig,
     FieldSpec,
     load_config,
@@ -440,57 +441,10 @@ _TASK_RUNNERS = {
 
 
 def _expectation_failures(config, summary):
-    e = config.expect
-    fails = []
-
-    def check(key, ok):
-        if not ok:
-            fails.append(key)
-
-    if config.task == TASK_CHECK_KERNEL:
-        holds = summary["conditions"]
-        for name in ("LevyKhintchine", "K1", "K2", "Evenness", "G1", "G2", "G2prime"):
-            if name in e:
-                check(name, holds.get(name) == bool(e[name]))
-        if "mvt_ratio_min" in e:
-            m = summary.get("mvt_ratio_min")
-            check("mvt_ratio_min", m is not None and m > float(e["mvt_ratio_min"]))
-    elif config.task == TASK_EVAL_OPERATOR:
-        if "all_values_negative" in e:
-            check("all_values_negative",
-                  (summary["max_value"] < 0.0) == bool(e["all_values_negative"]))
-        if "all_values_positive" in e:
-            check("all_values_positive",
-                  (summary["min_value"] > 0.0) == bool(e["all_values_positive"]))
-        if "max_abs" in e:
-            biggest = max(abs(summary["min_value"]), abs(summary["max_value"]))
-            check("max_abs", biggest <= float(e["max_abs"]))
-    elif config.task == TASK_SOLVE_BALL:
-        if "max_residual" in e:
-            check("max_residual",
-                  summary["final_residual_sup"] <= float(e["max_residual"]))
-        if "max_sup" in e:
-            check("max_sup", summary["sup_norm"] <= float(e["max_sup"]))
-    elif config.task == TASK_VERIFY_SYMMETRY:
-        if "symmetric" in e:
-            check("symmetric", summary["symmetric"] == bool(e["symmetric"]))
-        if "max_residual" in e:
-            check("max_residual",
-                  summary["final_residual_sup"] <= float(e["max_residual"]))
-    elif config.task == TASK_SWEEP_ALPHA:
-        if "rel_error_max" in e:
-            check("rel_error_max", summary["rel_error"] <= float(e["rel_error_max"]))
-        if "abs_error_max" in e:
-            check("abs_error_max", summary["abs_error"] <= float(e["abs_error_max"]))
-        if "not_flagged" in e:
-            check("not_flagged", summary["flagged"] != bool(e["not_flagged"]))
-    elif config.task in (TASK_NARROW_REGION, TASK_DECAY_INFINITY):
-        if "slope_rtol" in e:
-            check("slope_rtol", summary["slope_rel_dev"] <= float(e["slope_rtol"]))
-        if "exceeds_bound" in e:
-            check("exceeds_bound",
-                  summary["exceeds_bound"] == bool(e["exceeds_bound"]))
-    return fails
+    return [
+        key for key, holds in EXPECTATIONS[config.task].items()
+        if key in config.expect and not holds(summary, config.expect[key])
+    ]
 
 
 # ----------------------------------------------------------------------------

@@ -53,19 +53,53 @@ _REQUIRED_SECTIONS = {
     TASK_VERIFY_SYMMETRY: ("domain",),
 }
 
-# Expectation keys the suite runner may check per task; anything else in the
-# ``expect`` section is a config error, caught at load time.
-_EXPECT_KEYS = {
+
+def _condition_is(name):
+    return lambda s, e: s["conditions"].get(name) == bool(e)
+
+
+def _at_most(name):
+    return lambda s, e: s[name] <= float(e)
+
+
+def _is(name):
+    return lambda s, e: s[name] == bool(e)
+
+
+# The expectations the suite runner checks: task -> key -> check(summary,
+# expected value), in reporting order.  A key not listed for its task in a
+# config's ``expect`` section is a config error, caught at load time.
+EXPECTATIONS = {
     TASK_CHECK_KERNEL: {
-        "LevyKhintchine", "K1", "K2", "Evenness",
-        "G1", "G2", "G2prime", "mvt_ratio_min",
+        **{name: _condition_is(name) for name in (
+            "LevyKhintchine", "K1", "K2", "Evenness", "G1", "G2", "G2prime")},
+        "mvt_ratio_min": lambda s, e: (
+            s.get("mvt_ratio_min") is not None and s["mvt_ratio_min"] > float(e)),
     },
-    TASK_EVAL_OPERATOR: {"all_values_negative", "all_values_positive", "max_abs"},
-    TASK_SOLVE_BALL: {"max_residual", "max_sup"},
-    TASK_VERIFY_SYMMETRY: {"symmetric", "max_residual"},
-    TASK_SWEEP_ALPHA: {"rel_error_max", "abs_error_max", "not_flagged"},
-    TASK_NARROW_REGION: {"slope_rtol"},
-    TASK_DECAY_INFINITY: {"slope_rtol", "exceeds_bound"},
+    TASK_EVAL_OPERATOR: {
+        "all_values_negative": lambda s, e: (s["max_value"] < 0.0) == bool(e),
+        "all_values_positive": lambda s, e: (s["min_value"] > 0.0) == bool(e),
+        "max_abs": lambda s, e: (
+            max(abs(s["min_value"]), abs(s["max_value"])) <= float(e)),
+    },
+    TASK_SOLVE_BALL: {
+        "max_residual": _at_most("final_residual_sup"),
+        "max_sup": _at_most("sup_norm"),
+    },
+    TASK_VERIFY_SYMMETRY: {
+        "symmetric": _is("symmetric"),
+        "max_residual": _at_most("final_residual_sup"),
+    },
+    TASK_SWEEP_ALPHA: {
+        "rel_error_max": _at_most("rel_error"),
+        "abs_error_max": _at_most("abs_error"),
+        "not_flagged": lambda s, e: s["flagged"] != bool(e),
+    },
+    TASK_NARROW_REGION: {"slope_rtol": _at_most("slope_rel_dev")},
+    TASK_DECAY_INFINITY: {
+        "slope_rtol": _at_most("slope_rel_dev"),
+        "exceeds_bound": _is("exceeds_bound"),
+    },
 }
 
 FIELD_GAUSSIAN = "gaussian"
@@ -176,9 +210,8 @@ class ExperimentConfig:
             )
         if any(not 0.0 < a < 2.0 for a in self.alpha_list):
             raise ValidationError("alpha_list: alpha must lie in (0,2)")
-        allowed = _EXPECT_KEYS[self.task]
         for key in self.expect:
-            if key not in allowed:
+            if key not in EXPECTATIONS[self.task]:
                 raise ValidationError(
                     f"expect: unknown key {key!r} for task {self.task}"
                 )

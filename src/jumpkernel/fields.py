@@ -16,14 +16,11 @@ Every ``value_fn`` maps arrays of shape (..., dim) to (...).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-
-ANALYTIC = "Analytic"
-GRID = "Grid"
 
 _FD_STEP = 1e-5
 
@@ -48,7 +45,6 @@ class GridData:
 
 @dataclass
 class Field:
-    form: str
     dim: int
     value_fn: object
     sup_bound: float
@@ -155,7 +151,6 @@ def analytic_field(
     label="",
 ):
     return Field(
-        form=ANALYTIC,
         dim=dim,
         value_fn=value_fn,
         sup_bound=float(sup_bound),
@@ -210,7 +205,6 @@ def grid_field(values, origin, h, exterior_value=0.0, sup_bound=None, label=""):
     if sup_bound is None:
         sup_bound = max(float(np.max(np.abs(values))), abs(exterior_value))
     return Field(
-        form=GRID,
         dim=values.ndim,
         value_fn=_make_interpolator(g, exterior_value),
         sup_bound=float(sup_bound),

@@ -20,7 +20,7 @@ needed by second-order limits are applied by the sweep drivers, never here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
 import numpy as np

@@ -18,9 +18,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .fields import Field, analytic_field, grid_field, reflect_field
+from .fields import Field, analytic_field, grid_field
 from .kernels import KernelSpec, halfspace_mass, reflect_point, singular_exponent
-from .quadrature import EvalResult, QuadratureConfig, eval_LK
+from .quadrature import QuadratureConfig, eval_LK
 
 __all__ = [
     "PlaneReflection",

@@ -125,17 +125,6 @@ def _leggauss(order: int):
     return x, w
 
 
-def gauss_panels(f, edges, order: int = 10):
-    """Fixed composite Gauss–Legendre integral of a vectorized integrand."""
-    edges = np.asarray(edges, dtype=float)
-    x, w = _leggauss(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    fv = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    return float(np.sum(half * (fv @ w)))
-
-
 def tensor_gauss_cell(f, lo, hi, order: int = 10):
     """Fixed tensor Gauss–Legendre integral over an axis-aligned cell.
 

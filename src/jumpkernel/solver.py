@@ -6,12 +6,16 @@ dimensions.  The unknown is the vector of nodal values at the lattice
 nodes strictly inside the ball; the trial space is the span of the
 piecewise-multilinear hats at those nodes, extended by 0.
 
-Assembly exploits that every zoo kernel is translation invariant and even
-in each coordinate: A[i][j] depends only on |x_i - x_j| componentwise, so
-only one quadrature per distinct offset is run.  Offsets whose evaluation
-point touches the hat's support go through the full principal-value
-machinery; all others integrate the smooth product hat * kernel by fixed
-tensor Gauss panels over the hat's four (resp. two) cells.
+Nodes and offsets are lattice multi-indices held in integer arrays.
+Every zoo kernel is translation invariant and even in each coordinate, so
+A[i, j] depends only on the componentwise |idx_i - idx_j|: the operator
+is a stencil array of shape (grid_n,)*dim indexed by that absolute offset.
+Assembly marks the offsets the interior rows use, runs one quadrature per
+marked offset, and then fills A row by row with the gather
+stencil[|idx - idx_i|].  Offsets whose evaluation point touches the hat's
+support go through the full principal-value machinery; all others
+integrate the smooth product hat * kernel by fixed tensor Gauss panels
+over the hat's four (resp. two) cells.
 
 The solver deliberately does not impose any symmetry: radial symmetry and
 monotonicity of the computed profiles are emergent properties the tests
@@ -21,8 +25,7 @@ measure, not constraints baked in.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,30 +69,22 @@ class DomainSpec:
             -self.radius + self.h * np.arange(self.grid_n) for _ in range(self.dim)
         ]
 
-    def interior_indices(self):
-        """Lattice multi-indices of nodes strictly inside the ball."""
-        axes = self.lattice_axes()
-        out = []
-        for idx in itertools.product(*(range(self.grid_n),) * self.dim):
-            x = np.array([axes[d][idx[d]] for d in range(self.dim)])
-            if np.dot(x, x) < self.radius ** 2 - 1e-12:
-                out.append(idx)
-        return out
+    def interior_indices(self) -> np.ndarray:
+        """Lattice multi-indices, shape (m, dim), of the nodes strictly
+        inside the ball, in row-major order."""
+        mesh = np.meshgrid(*self.lattice_axes(), indexing="ij")
+        return np.argwhere(sum(x * x for x in mesh) < self.radius ** 2 - 1e-12)
 
 
 @dataclass
 class DiscreteOperator:
     A: np.ndarray
-    b: np.ndarray
     nodes: np.ndarray           # (m, dim) interior node coordinates
-    indices: list               # lattice multi-index per row
+    indices: np.ndarray         # (m, dim) lattice multi-index per row
     spec: KernelSpec
     domain: DomainSpec
     cfg: QuadratureConfig
-    entry_err: dict = dc_field(default_factory=dict)  # canonical offset -> err
-
-    def apply(self, u):
-        return self.A @ np.asarray(u, dtype=float) + self.b
+    entry_err: np.ndarray       # quadrature error per |offset|, stencil-shaped
 
 
 @dataclass
@@ -98,6 +93,9 @@ class SolveReport:
     iterations: int
     converged: bool
     final_residual_sup: float
+    # node evaluations whose quadrature did not converge and whose
+    # unconverged value was used anyway (nonlinear solves only)
+    suppressed_nonconvergence: int = 0
 
 
 def hat_field(domain: DomainSpec, center) -> Field:
@@ -146,10 +144,6 @@ def _far_offset_value(domain, spec, offset):
     return -total, err
 
 
-def _canonical(offset):
-    return tuple(int(abs(o)) for o in offset)
-
-
 def assemble_LK_matrix(
     spec: KernelSpec, domain: DomainSpec, cfg: QuadratureConfig | None = None
 ) -> DiscreteOperator:
@@ -161,46 +155,40 @@ def assemble_LK_matrix(
         # the sphere, and it scales linearly with eps_inner.  Two cells is
         # the smallest radius that still covers the second-difference stencil.
         cfg = QuadratureConfig(eps_inner=max(2.0 * domain.h, 1e-3))
-    indices = domain.interior_indices()
-    m = len(indices)
-    axes = domain.lattice_axes()
-    nodes = np.array(
-        [[axes[d][idx[d]] for d in range(domain.dim)] for idx in indices]
-    )
-    idx_arr = np.array(indices, dtype=int)
+    idx = domain.interior_indices()
+    m = len(idx)
+    nodes = domain.origin + domain.h * idx
+    shape = (domain.grid_n,) * domain.dim
 
-    stencil = {}
-    errs = {}
-    offsets = set()
-    for i in range(m):
-        diffs = idx_arr - idx_arr[i]
-        for d in diffs:
-            offsets.add(_canonical(d))
+    # Row by row, not as one (m, m, dim) gather: the full index array
+    # would outweigh A itself.
+    used = np.zeros(shape, dtype=bool)
+    for row in idx:
+        used[tuple(np.abs(idx - row).T)] = True
+    stencil = np.zeros(shape)
+    errs = np.zeros(shape)
     # Hat supports reach one spacing past their node, so an offset is clear
     # of the inner ball exactly when (|d|_inf - 1) h >= eps_inner.
     near_cut = cfg.eps_inner / domain.h + 1.0 - 1e-9
-    for off in sorted(offsets):
+    for off in np.argwhere(used):
         if max(off) < near_cut:
-            stencil[off], errs[off] = _near_offset_value(domain, spec, cfg, off)
+            entry = _near_offset_value(domain, spec, cfg, off)
         else:
-            stencil[off], errs[off] = _far_offset_value(domain, spec, off)
+            entry = _far_offset_value(domain, spec, off)
+        stencil[tuple(off)], errs[tuple(off)] = entry
 
     A = np.empty((m, m))
-    for i in range(m):
-        diffs = idx_arr - idx_arr[i]
-        for j in range(m):
-            A[i, j] = stencil[_canonical(diffs[j])]
-    b = np.zeros(m)
+    for i, row in enumerate(idx):
+        A[i] = stencil[tuple(np.abs(idx - row).T)]
     return DiscreteOperator(
-        A=A, b=b, nodes=nodes, indices=indices, spec=spec, domain=domain,
-        cfg=cfg, entry_err=errs,
+        A=A, nodes=nodes, indices=idx, spec=spec, domain=domain, cfg=cfg,
+        entry_err=errs,
     )
 
 
 def solution_field(domain: DomainSpec, op: DiscreteOperator, u_int) -> Field:
     values = np.zeros((domain.grid_n,) * domain.dim)
-    for idx, v in zip(op.indices, np.asarray(u_int, dtype=float)):
-        values[idx] = v
+    values[tuple(op.indices.T)] = u_int
     return grid_field(
         values, domain.origin, domain.h, exterior_value=0.0, label="solution"
     )
@@ -231,7 +219,7 @@ def solve_dirichlet(
     u = np.zeros(m)
 
     def residual(v):
-        return op.A @ v + op.b - eval_f(f, v)
+        return op.A @ v - eval_f(f, v)
 
     r = residual(u)
     history = [float(np.max(np.abs(r)))]
@@ -285,7 +273,9 @@ def solve_dirichlet_nonlinear(
     principal-value quadrature of the current iterate (no linearization
     through G — its derivative degenerates at 0).  The linear stencil matrix
     serves only as a constant preconditioner for the update direction, with
-    Armijo-style step halving for robustness.
+    Armijo-style step halving for robustness.  A node evaluation whose
+    quadrature does not converge keeps its unconverged value; the report
+    counts these in ``suppressed_nonconvergence``.
     """
     if gspec.g_kind == G_IDENTITY or gspec.gamma == 0.0:
         return solve_dirichlet(
@@ -297,8 +287,10 @@ def solve_dirichlet_nonlinear(
     m = op.A.shape[0]
     nodes = op.nodes
     gamma = float(gspec.gamma)
+    suppressed = 0
 
     def residual(v):
+        nonlocal suppressed
         fld = solution_field(domain, op, v)
         vals = np.empty(m)
         for i in range(m):
@@ -306,6 +298,7 @@ def solve_dirichlet_nonlinear(
                 vals[i] = eval_FGK(fld, gspec, spec, nodes[i], cfg).value
             except NonConvergenceError as exc:
                 vals[i] = exc.value
+                suppressed += 1
         return vals - eval_f(gspec, v)
 
     # G(0) = 0, so u == 0 solves the problem whenever f(0) does not push it.
@@ -384,6 +377,7 @@ def solve_dirichlet_nonlinear(
         iterations=it,
         converged=bool(converged),
         final_residual_sup=history[-1],
+        suppressed_nonconvergence=suppressed,
     )
     fld = solution_field(domain, op, u)
     if not converged:

@@ -50,6 +50,38 @@ def test_omega_calibration_is_cached(tmp_path, monkeypatch):
     assert calibrate_omega_n(1) == first
 
 
+def test_omega_cache_store_is_atomic(tmp_path, monkeypatch):
+    import threading
+
+    import jumpkernel.alpha_limit as mod
+
+    monkeypatch.setenv("JUMPKERNEL_CACHE_DIR", str(tmp_path))
+    caches = [{1: 2.0, 2: 2.0 * math.pi + k} for k in range(4)]
+    threads = [
+        threading.Thread(target=mod._store_file_cache, args=(c,)) for c in caches
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    # the stored file parses to one of the written caches, and no temp file
+    # is left behind
+    stored = mod._load_file_cache()
+    assert stored in caches
+    assert [p.name for p in tmp_path.iterdir()] == ["omega_n.json"]
+
+    # a write that fails halfway leaves the previous cache in place
+    def failing_dump(obj, fh, **kw):
+        fh.write("{")
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(mod.json, "dump", failing_dump)
+        mod._store_file_cache({1: 0.0})
+    assert mod._load_file_cache() == stored
+    assert [p.name for p in tmp_path.iterdir()] == ["omega_n.json"]
+
+
 def test_anisotropic_constant_closed_forms():
     # C_{n,2} = sigma_{n-1}/n; p = 1 and p = 4 from the sphere integral
     assert anisotropic_constant(1, 2.0) == pytest.approx(2.0, rel=1e-9)

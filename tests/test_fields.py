@@ -36,7 +36,9 @@ def test_gaussian_values_and_derivatives():
 def test_gaussian_hessian_matches_finite_differences(x1, x2):
     u = gaussian_bump(2, center=[0.2, 0.1], width=1.3, amplitude=1.0)
     x = np.array([x1, x2])
-    h = 1e-5
+    # 1e-4 balances truncation against roundoff: at 1e-5 the second
+    # difference's cancellation error alone exceeds abs=1e-6
+    h = 1e-4
     for i in range(2):
         e = np.zeros(2)
         e[i] = h

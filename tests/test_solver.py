@@ -13,6 +13,8 @@ from jumpkernel.nonlinearity import (
 from jumpkernel.quadrature import eval_LK
 from jumpkernel.solver import (
     DomainSpec,
+    _far_offset_value,
+    _near_offset_value,
     assemble_LK_matrix,
     hat_field,
     solution_field,
@@ -40,9 +42,9 @@ def test_domain_geometry():
     dom = DomainSpec(dim=1, radius=1.0, grid_n=17)
     assert dom.h == pytest.approx(0.125)
     idx = dom.interior_indices()
-    # nodes strictly inside (-1, 1): indices 1..15
-    assert idx[0] == (1,) and idx[-1] == (15,)
-    assert len(idx) == 15
+    # nodes strictly inside (-1, 1): indices 1..15, one row per node
+    assert idx.shape == (15, 1)
+    assert idx[0, 0] == 1 and idx[-1, 0] == 15
 
 
 def test_hat_field_is_one_at_center_zero_at_neighbours():
@@ -53,22 +55,68 @@ def test_hat_field_is_one_at_center_zero_at_neighbours():
     assert float(hat.value(np.array([0.25 + 0.0625, 0.0]))) == pytest.approx(0.5)
 
 
+def _row_permutation(idx, image, grid_n):
+    """Rows of the lattice nodes ``image`` in the row order of ``idx``."""
+    row = np.full((grid_n,) * idx.shape[1], -1)
+    row[tuple(idx.T)] = np.arange(len(idx))
+    perm = row[tuple(image.T)]
+    assert np.all(perm >= 0)
+    return perm
+
+
 def test_assembly_structure():
-    dom = DomainSpec(dim=1, radius=1.0, grid_n=33)
-    op = assemble_LK_matrix(PL1, dom)
-    m = op.A.shape[0]
-    assert m == len(dom.interior_indices())
-    # lattice symmetry x -> -x permutes the operator onto itself
-    perm = np.arange(m)[::-1]
-    np.testing.assert_allclose(op.A, op.A[np.ix_(perm, perm)], rtol=1e-12)
-    np.testing.assert_allclose(op.b, op.b[perm], rtol=1e-12)
-    # M-matrix sign pattern: positive diagonal, nonpositive off-diagonal
-    assert np.all(np.diag(op.A) > 0.0)
-    off = op.A - np.diag(np.diag(op.A))
-    assert np.all(off <= 1e-14)
-    # rows keep positive mass (operator of the constant 1 extension is 0,
-    # so the interior row sum equals the positive exterior coupling)
-    assert np.all(op.A.sum(axis=1) > 0.0)
+    for dom in (
+        DomainSpec(dim=1, radius=1.0, grid_n=33),
+        DomainSpec(dim=2, radius=1.0, grid_n=17),
+    ):
+        op = assemble_LK_matrix(KernelSpec(POWER_LAW, dom.dim, 1.0), dom)
+        idx = op.indices
+        m = op.A.shape[0]
+        assert m == len(dom.interior_indices())
+        assert op.nodes.shape == idx.shape == (m, dom.dim)
+        # reflecting an axis keeps every |offset|, so it permutes the
+        # operator onto itself exactly
+        for d in range(dom.dim):
+            image = idx.copy()
+            image[:, d] = dom.grid_n - 1 - image[:, d]
+            perm = _row_permutation(idx, image, dom.grid_n)
+            np.testing.assert_array_equal(op.A, op.A[np.ix_(perm, perm)])
+        # the x <-> y swap maps offset (a, b) to (b, a), a separate
+        # quadrature, so it holds up to rounding only
+        if dom.dim == 2:
+            perm = _row_permutation(idx, idx[:, ::-1], dom.grid_n)
+            np.testing.assert_allclose(op.A, op.A[np.ix_(perm, perm)],
+                                       rtol=1e-13, atol=0.0)
+        # M-matrix sign pattern: positive diagonal, nonpositive off-diagonal
+        assert np.all(np.diag(op.A) > 0.0)
+        off = op.A - np.diag(np.diag(op.A))
+        assert np.all(off <= 1e-14)
+        # rows keep positive mass (operator of the constant 1 extension is 0,
+        # so the interior row sum equals the positive exterior coupling)
+        assert np.all(op.A.sum(axis=1) > 0.0)
+
+
+def test_assembly_entries_are_the_offset_stencil():
+    # every entry is the quadrature of its absolute lattice offset: near
+    # offsets (inside the default two-cell model ball plus the hat's reach)
+    # from the principal-value engine, all others from tensor Gauss cells
+    dom = DomainSpec(dim=2, radius=1.0, grid_n=17)
+    spec = KernelSpec(POWER_LAW, 2, 1.0)
+    op = assemble_LK_matrix(spec, dom)
+    idx = op.indices
+    centre = int(np.flatnonzero(np.all(idx == 8, axis=1))[0])
+    near = far = 0
+    for i in (0, centre, len(idx) - 1):
+        for j in range(0, len(idx), 7):
+            off = np.abs(idx[i] - idx[j])
+            if max(off) <= 2:
+                value, _ = _near_offset_value(dom, spec, op.cfg, off)
+                near += 1
+            else:
+                value, _ = _far_offset_value(dom, spec, off)
+                far += 1
+            assert op.A[i, j] == value
+    assert near > 0 and far > 0
 
 
 def test_assembly_annihilates_constants():
@@ -76,8 +124,9 @@ def test_assembly_annihilates_constants():
     # reproduces that exactly through A 1 - (coupling to exterior 1)
     dom = DomainSpec(dim=1, radius=1.0, grid_n=33)
     op = assemble_LK_matrix(PL1, dom)
-    # b collects the exterior Dirichlet data g = 0; rebuild it for g = 1 by
-    # summing each row's exterior stencil weight = row sum of A
+    # the exterior data is g = 0, so A carries no boundary term; the
+    # coupling to an exterior g = 1 is each row's exterior stencil weight,
+    # which is the row sum of A
     row_excess = op.A @ np.ones(op.A.shape[0])
     assert np.all(row_excess > 0.0)
 
@@ -202,3 +251,29 @@ def test_solution_field_wraps_interior_vector():
     fld = solution_field(dom, op, vec)
     assert fld.grid.values[0] == 0.0
     np.testing.assert_allclose(fld.grid.values[1:-1], vec)
+
+
+def test_nonlinear_report_counts_suppressed_nonconvergence(monkeypatch):
+    import jumpkernel.solver as solver_mod
+
+    raised = []
+    original = solver_mod.eval_FGK
+
+    def counting_eval_FGK(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except NonConvergenceError:
+            raised.append(args[3])
+            raise
+
+    monkeypatch.setattr(solver_mod, "eval_FGK", counting_eval_FGK)
+    g = NonlinearitySpec(g_kind=G_POWER, gamma=0.5, f_kind=F_CONSTANT, f_offset=1.0)
+    dom = DomainSpec(dim=1, radius=1.0, grid_n=33)
+    _, rep = solve_dirichlet_nonlinear(g, PL1, dom, solve_tol=1e-6)
+    assert rep.converged
+    # every evaluation that raised was absorbed into the residual, and the
+    # report says how many there were
+    assert rep.suppressed_nonconvergence == len(raised) > 0
+    # linear solves run no such evaluations
+    _, lin = solve_dirichlet(PL1, F_ONE, dom)
+    assert lin.suppressed_nonconvergence == 0
