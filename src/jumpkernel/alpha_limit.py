@@ -5,25 +5,22 @@ second-order differential operators; with the right scalar prefactor the
 Gaussian-weighted kernel reproduces -Laplacian u, the p-norm kernel
 reproduces -C_{n,p} Laplacian u, and the diagonally transformed kernel
 reproduces -sum lambda_i^2 d_ii u.  This module runs those sweeps with
-Richardson extrapolation in (2 - alpha), computes C_{n,p} and its
-norm-equivalence bracket, and calibrates the sphere-vs-ball measure
-convention empirically instead of assuming it.
+Richardson extrapolation in (2 - alpha), and gives C_{n,p} and omega_n
+(the sphere surface in the 4n/omega_n prefactor) in closed form, with the
+norm-equivalence bracket for C_{n,p}.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import gamma as _gamma
 
 from .errors import NonConvergenceError, ValidationError
-from .fields import Field
+from .fields import Field, gaussian_bump
 from .kernels import (
     ANISOTROPIC_P,
     EXPONENTIAL,
@@ -31,7 +28,7 @@ from .kernels import (
     KernelSpec,
 )
 from .quadrature import QuadratureConfig, eval_LK
-from .quadrules import ball_volume, richardson_fit, sphere_surface
+from .quadrules import richardson_fit, sphere_surface
 
 __all__ = [
     "FAMILY_EXPONENTIAL",
@@ -118,46 +115,6 @@ def gamma_prefactor(alpha: float) -> float:
     return 1.0 / math.gamma((2.0 - alpha) / 2.0)
 
 
-# ----------------------------------------------------------------------------
-# omega_n calibration (sphere surface vs ball volume), cached
-# ----------------------------------------------------------------------------
-
-_OMEGA_CACHE: dict = {}
-
-
-def _cache_path() -> Path:
-    root = os.environ.get("JUMPKERNEL_CACHE_DIR", "")
-    base = Path(root) if root else Path.home() / ".cache" / "jumpkernel"
-    return base / "omega_n.json"
-
-
-def _load_file_cache() -> dict:
-    try:
-        with open(_cache_path(), "r", encoding="utf-8") as fh:
-            return {int(k): float(v) for k, v in json.load(fh).items()}
-    except (OSError, ValueError):
-        return {}
-
-
-def _store_file_cache(cache: dict) -> None:
-    # Suite jobs run in threads and may store at the same time, so each
-    # writes a private temp file beside the cache and renames it into
-    # place: readers see the old file or the new one, never a partial one.
-    try:
-        path = _cache_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({str(k): v for k, v in sorted(cache.items())}, fh, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError:
-        pass
-
-
 def _kernel_for(family: SweepFamily, dim: int, alpha: float) -> KernelSpec:
     if family.kind == FAMILY_EXPONENTIAL:
         return KernelSpec(EXPONENTIAL, dim, alpha)
@@ -166,10 +123,9 @@ def _kernel_for(family: SweepFamily, dim: int, alpha: float) -> KernelSpec:
     return KernelSpec(MATRIX_TRANSFORMED, dim, alpha, lambda_diag=family.lambda_diag)
 
 
-def _prefactor(family: SweepFamily, dim: int, omega: Optional[float]) -> float:
+def _prefactor(family: SweepFamily, dim: int) -> float:
     if family.kind == FAMILY_EXPONENTIAL:
-        w = omega if omega is not None else calibrate_omega_n(dim)
-        return 4.0 * dim / w
+        return 4.0 * dim / sphere_surface(dim)
     if family.kind == FAMILY_ANISOTROPIC:
         # The paired Taylor expansion halves the second-order term, so the
         # raw C_n = 1 operator tends to -(1/2) C_{n,p} Laplacian u; the
@@ -196,7 +152,6 @@ def sweep_alpha(
     x,
     alpha_list: Sequence[float] = DEFAULT_ALPHAS,
     cfg: Optional[QuadratureConfig] = None,
-    omega: Optional[float] = None,
 ) -> AlphaSweepReport:
     """Evaluate the scaled operator along alpha_list and extrapolate to 2.
 
@@ -217,7 +172,7 @@ def sweep_alpha(
     if x.size != u.dim:
         raise ValidationError("point dimension mismatch")
     base = cfg if cfg is not None else QuadratureConfig()
-    pref = _prefactor(family, u.dim, omega)
+    pref = _prefactor(family, u.dim)
     gap0 = 2.0 - alphas[0]
     values = []
     for a in alphas:
@@ -255,74 +210,25 @@ def sweep_alpha(
 # ----------------------------------------------------------------------------
 
 
-def _sphere_pnorm_integral(n: int, p: float, exponent: float, quad_tol: float) -> float:
-    """Integral over the unit sphere of ||theta||_p^(-exponent).
-
-    The integrand repeats on coordinate octants (coordinates enter through
-    their absolute values), so quadrature runs on one octant with
-    Gauss-Legendre nodes — away from octant corners the integrand is smooth,
-    and node doubling with a settle check controls the mild endpoint
-    behaviour of |cos|^p for non-integer p.
-    """
-    if n == 1:
-        return 2.0
-    if n == 2:
-        m = 64
-        prev = None
-        while m <= 8192:
-            nodes, weights = np.polynomial.legendre.leggauss(m)
-            t = 0.25 * math.pi * (nodes + 1.0)
-            f = (np.cos(t) ** p + np.sin(t) ** p) ** (-exponent / p)
-            cur = float(np.sum(f * weights) * 0.25 * math.pi) * 4.0
-            if prev is not None and abs(cur - prev) <= quad_tol * max(1.0, abs(cur)):
-                return cur
-            prev = cur
-            m *= 2
-        raise NonConvergenceError("sphere integral did not settle", prev, abs(cur - prev))
-    if n == 3:
-        m = 32
-        prev = None
-        while m <= 2048:
-            zn, zw = np.polynomial.legendre.leggauss(m)
-            an, aw = np.polynomial.legendre.leggauss(m)
-            z = 0.5 * (zn + 1.0)  # polar cosine on [0,1]; z -> -z symmetric
-            phi = 0.25 * math.pi * (an + 1.0)
-            st = np.sqrt(1.0 - z ** 2)[:, None]
-            xs = st * np.cos(phi)[None, :]
-            ys = st * np.sin(phi)[None, :]
-            zs = np.broadcast_to(z[:, None], xs.shape)
-            norm_p = (xs ** p + ys ** p + zs ** p) ** (1.0 / p)
-            f = norm_p ** (-exponent)
-            cur = float(np.einsum("ij,i,j->", f, zw, aw)) * 0.5 * 0.25 * math.pi
-            cur *= 2.0 * 4.0  # both hemispheres, four azimuthal quadrants
-            if prev is not None and abs(cur - prev) <= quad_tol * max(1.0, abs(cur)):
-                return cur
-            prev = cur
-            m *= 2
-        raise NonConvergenceError("sphere integral did not settle", prev, abs(cur - prev))
-    raise ValidationError("only dimensions 1..3 are supported")
-
-
-def anisotropic_constant(n: int, p: float, quad_tol: float = 1e-10) -> float:
+def anisotropic_constant(n: int, p: float) -> float:
     """C_{n,p}: the alpha -> 2 coefficient of the p-norm kernel limit.
 
     Defined as (1/n) lim (2-alpha) * integral over the unit ball of
-    |y|^2 / ||y||_p^(n+alpha).  In polar form the radial factor integrates
-    exactly to 1/(2-alpha), so each sweep value reduces to the sphere
-    integral of ||theta||_p^(-(n+alpha)); those are evaluated at
-    alpha in {1.9, 1.95, 1.99} and Richardson-extrapolated to alpha = 2.
+    |y|^2 / ||y||_p^(n+alpha), which is the sphere integral of
+    ||theta||_p^(-(n+2)) over n, or (n+2) times the second moment of y_1
+    over the unit l^p ball.  Dirichlet's integral gives that moment:
+
+        C_{n,p} = (n+2) 2^n Gamma(3/p) Gamma(1/p)^(n-1) / (p^n Gamma(1 + (n+2)/p)).
     """
     if p < 1.0:
         raise ValidationError("p must be at least 1")
     if int(n) != n or n < 1:
         raise ValidationError("n must be a positive integer")
     n = int(n)
-    vals = [
-        _sphere_pnorm_integral(n, p, n + a, quad_tol) / n for a in DEFAULT_ALPHAS
-    ]
-    gaps = [2.0 - a for a in DEFAULT_ALPHAS]
-    quad, _lin = richardson_fit(gaps, vals)
-    return float(quad)
+    return float(
+        (n + 2) * 2.0 ** n * _gamma(3.0 / p) * _gamma(1.0 / p) ** (n - 1)
+        / (p ** n * _gamma(1.0 + (n + 2) / p))
+    )
 
 
 def norm_equivalence_bracket(n: int, p: float) -> Tuple[float, float]:
@@ -340,53 +246,28 @@ def norm_equivalence_bracket(n: int, p: float) -> Tuple[float, float]:
     return (sigma / n * c_hi ** -(n + 2), sigma / n * c_lo ** -(n + 2))
 
 
-def calibrate_omega_n(n: int, tolerance: float = 0.02) -> float:
-    """Decide empirically whether omega_n means sphere surface or ball volume.
+def calibrate_omega_n(n: int) -> float:
+    """Check that omega_n in the 4n/omega_n prefactor is the sphere surface.
 
-    Runs the Gaussian-field sweep with the 4n/W prefactor for both candidate
-    measures and returns the one whose extrapolated limit lands on 2n within
-    tolerance; the winner is cached in memory and on disk.  Raises when
-    neither candidate comes within 5% — that would be a genuine open finding,
-    not something to paper over.
+    Runs the Gaussian-field exponential sweep at the origin with the library
+    prefactor and returns ``sphere_surface(n)`` when the extrapolated limit
+    lands within 2% of -Laplacian = 2n; raises ``NonConvergenceError``
+    otherwise.  (In 1-D the surface and the ball volume are both 2, so only
+    n = 2 tells the two conventions apart.)
     """
-    if n not in (1, 2, 3):
-        raise ValidationError("calibration covers n in {1,2,3}")
-    if n in _OMEGA_CACHE:
-        return _OMEGA_CACHE[n]
-    file_cache = _load_file_cache()
-    if n in file_cache:
-        _OMEGA_CACHE[n] = file_cache[n]
-        return file_cache[n]
-
-    from .fields import gaussian_bump
-
-    u = gaussian_bump(n)
-    x = np.zeros(n)
+    if n not in (1, 2):
+        raise ValidationError("calibration covers n in {1,2}")
     target = 2.0 * n
-    candidates = [
-        ("sphere", sphere_surface(n)),
-        ("ball", ball_volume(n)),
-    ]
-    best = None
-    for _name, w in candidates:
-        rep = sweep_alpha(u, exponential_scaled(), x, omega=w)
-        rel = abs(rep.extrapolated_limit - target) / target
-        if best is None or rel < best[1]:
-            best = (w, rel)
-        if rel <= tolerance:
-            _OMEGA_CACHE[n] = w
-            file_cache[n] = w
-            _store_file_cache(file_cache)
-            return w
-    if best is not None and best[1] <= 0.05:
-        _OMEGA_CACHE[n] = best[0]
-        file_cache[n] = best[0]
-        _store_file_cache(file_cache)
-        return best[0]
-    raise NonConvergenceError(
-        "neither sphere-surface nor ball-volume measure reproduces the "
-        f"Laplacian limit for n={n} (best rel error {best[1]:.3f})"
-    )
+    rep = sweep_alpha(gaussian_bump(n), exponential_scaled(), np.zeros(n))
+    miss = abs(rep.extrapolated_limit - target)
+    if miss > 0.02 * target:
+        raise NonConvergenceError(
+            f"the sphere-surface prefactor misses the Laplacian limit for n={n} "
+            f"(rel error {miss / target:.3f})",
+            rep.extrapolated_limit,
+            miss,
+        )
+    return sphere_surface(n)
 
 
 def inner_ball_ratio(
@@ -394,7 +275,6 @@ def inner_ball_ratio(
     x,
     eps: float,
     alpha: float = 1.99,
-    omega: Optional[float] = None,
 ) -> Tuple[float, float]:
     """Scaled inner-ball contribution divided by -Laplacian u(x).
 
@@ -404,7 +284,7 @@ def inner_ball_ratio(
     if u.grid is not None:
         raise ValidationError("inner-ball ratio needs a smooth field")
     x = np.asarray(x, dtype=float).reshape(-1)
-    pref = 4.0 * u.dim / (omega if omega is not None else calibrate_omega_n(u.dim))
+    pref = _prefactor(exponential_scaled(), u.dim)
     spec = KernelSpec(EXPONENTIAL, u.dim, alpha)
     res = eval_LK(u, spec, x, QuadratureConfig(eps_inner=eps))
     denom = -float(np.trace(np.asarray(u.hessian(x), dtype=float)))

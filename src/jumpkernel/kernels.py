@@ -72,8 +72,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValidationError("dim must be a positive integer")
+        if self.dim not in (1, 2):
+            raise ValidationError("dim must be 1 or 2")
         if not (0.0 < self.alpha < 2.0):
             raise ValidationError("alpha must lie in (0,2)")
         if self.c_lower <= 0.0:
@@ -219,6 +219,14 @@ def _exp_radial_outer(spec: KernelSpec, w):
     return 0.5 * (upper - x ** p * np.exp(-x)) / p
 
 
+def _variable_order_radial(spec: KernelSpec, w):
+    """Integral over r > w of the VariableOrder radial factor: r^(-1-beta)
+    below r = 1 and r^(-1-alpha) above, for w > 0."""
+    w = np.asarray(w, dtype=float)
+    a, b = spec.alpha, spec.beta_order
+    return np.where(w < 1.0, (w ** (-b) - 1.0) / b + 1.0 / a, w ** (-a) / a)
+
+
 def outer_mass(spec: KernelSpec, radius: float):
     """Kernel mass of the exterior of a ball: integral over |z| > radius of K.
 
@@ -234,12 +242,7 @@ def outer_mass(spec: KernelSpec, radius: float):
         return val, 1e-13 * abs(val)
     cang, cerr = angular_mass(spec)
     if spec.kind == VARIABLE_ORDER and radius < 1.0:
-        b = spec.beta_order
-        if b == a:
-            inner = (radius ** (-a) - 1.0) / a if a else 0.0
-        else:
-            inner = (radius ** (-b) - 1.0) / b
-        radial = inner + 1.0 / a
+        radial = float(_variable_order_radial(spec, radius))
     else:
         radial = radius ** (-a) / a
     return cang * radial, cerr * radial
@@ -275,16 +278,7 @@ def halfspace_mass(spec: KernelSpec, dist: float, axis: int = 1):
             radial = _exp_radial_outer(spec, dist / tpos)
             val = float(np.dot(wpos, kappa * radial))
         elif spec.kind == VARIABLE_ORDER:
-            b = spec.beta_order
-            wlo = dist / tpos
-            near = wlo < 1.0
-            radial = np.empty_like(wlo)
-            radial[~near] = wlo[~near] ** (-a) / a
-            if b == a:
-                inner = (wlo[near] ** (-a) - 1.0) / a
-            else:
-                inner = (wlo[near] ** (-b) - 1.0) / b
-            radial[near] = inner + 1.0 / a
+            radial = _variable_order_radial(spec, dist / tpos)
             val = float(np.dot(wpos, kappa * radial))
         else:
             val = dist ** (-a) / a * float(np.dot(wpos, kappa * tpos ** a))

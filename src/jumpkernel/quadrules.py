@@ -161,13 +161,6 @@ def sphere_surface(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n (2, pi, 4*pi/3 for n=1,2,3)."""
-    if n < 1:
-        raise ValidationError("dimension must be at least 1")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
 @lru_cache(maxsize=256)
 def sphere_rule(dim: int, level: int = 0, half: bool = False):
     """Quadrature rule for integrals over the unit sphere S^{dim-1}.
@@ -201,26 +194,6 @@ def sphere_rule(dim: int, level: int = 0, half: bool = False):
         if half:
             wt = 2.0 * wt
         theta = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        return theta, wt
-    if dim == 3:
-        # Surface measure factorizes as d(cos polar) x d(azimuth).
-        nu = 8 * 2 ** level
-        nphi = 2 * nu
-        x, w = _leggauss(nu)
-        if half:
-            u = 0.5 * (1.0 + x)
-            wu = 2.0 * 0.5 * w
-        else:
-            u = x
-            wu = w
-        phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
-        wphi = np.full(nphi, 2.0 * math.pi / nphi)
-        uu, pp = np.meshgrid(u, phi, indexing="ij")
-        s = np.sqrt(np.clip(1.0 - uu ** 2, 0.0, None))
-        theta = np.stack(
-            [(s * np.cos(pp)).ravel(), (s * np.sin(pp)).ravel(), uu.ravel()], axis=-1
-        )
-        wt = (wu[:, None] * wphi[None, :]).ravel()
         return theta, wt
     raise ValidationError(f"no sphere rule for dimension {dim}")
 

@@ -15,7 +15,10 @@ to moderate alpha.  The agreed-upon closed forms in test_quadrature pin the
 oracle itself before it is trusted as a referee.
 """
 
+import math
+
 import numpy as np
+from scipy.special import gamma
 
 from jumpkernel.kernels import eval_kernel
 
@@ -97,3 +100,53 @@ def dense_plane_sweep(values, origin, h, exterior=0.0):
         lams.append(lam)
         mins.append(worst)
     return np.array(lams), np.array(mins)
+
+
+def torsion_ball(x, alpha):
+    """Getoor's torsion function of the unit ball for the PowerLaw kernel.
+
+    With K = (2 - alpha) |y|^(-n-alpha) and s = alpha/2, L_K = (2 - alpha)
+    / C_{n,s} (-Delta)^s, and (-Delta)^s (1 - |x|^2)_+^s = kappa with
+    kappa = 4^s Gamma(1+s) Gamma(n/2+s) / Gamma(n/2), so
+
+        u = C_{n,s} / ((2 - alpha) kappa) (1 - |x|^2)_+^s
+
+    solves L_K u = 1 in B_1, u = 0 outside.  ``x`` has shape (..., n).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    s = alpha / 2.0
+    c_ns = 4.0 ** s * gamma(n / 2.0 + s) / (math.pi ** (n / 2.0) * abs(gamma(-s)))
+    kappa = 4.0 ** s * gamma(1.0 + s) * gamma(n / 2.0 + s) / gamma(n / 2.0)
+    q = np.maximum(1.0 - np.sum(x * x, axis=-1), 0.0)
+    return c_ns / ((2.0 - alpha) * kappa) * q ** s
+
+
+def sphere_pnorm_integral(n, p, exponent, tol=1e-11):
+    """Integral over the unit sphere in R^n (n = 2, 3) of ||theta||_p^(-exponent).
+
+    The integrand depends on |theta_i| only, so one octant suffices.  Tensor
+    Gauss-Legendre in the octant angle (n = 2) or in polar cosine and
+    azimuth (n = 3), with the node count doubled until two values agree to
+    ``tol``.
+    """
+    m = 32
+    prev = None
+    while m <= 2048:
+        nodes, weights = np.polynomial.legendre.leggauss(m)
+        phi = 0.25 * math.pi * (nodes + 1.0)
+        if n == 2:
+            f = (np.cos(phi) ** p + np.sin(phi) ** p) ** (-exponent / p)
+            cur = 4.0 * 0.25 * math.pi * float(f @ weights)
+        else:
+            z = 0.5 * (nodes + 1.0)
+            st = np.sqrt(1.0 - z ** 2)[:, None]
+            xs, ys = st * np.cos(phi)[None, :], st * np.sin(phi)[None, :]
+            f = (xs ** p + ys ** p + z[:, None] ** p) ** (-exponent / p)
+            # two hemispheres, four azimuthal quadrants
+            cur = 8.0 * 0.5 * 0.25 * math.pi * float(weights @ f @ weights)
+        if prev is not None and abs(cur - prev) <= tol * abs(cur):
+            return cur
+        prev = cur
+        m *= 2
+    raise AssertionError(f"sphere integral did not settle: {prev!r} vs {cur!r}")

@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
 
 from jumpkernel.alpha_limit import (
@@ -15,9 +17,10 @@ from jumpkernel.alpha_limit import (
     norm_equivalence_bracket,
     sweep_alpha,
 )
-from jumpkernel.errors import ValidationError
+from jumpkernel.errors import NonConvergenceError, ValidationError
 from jumpkernel.fields import analytic_field, gaussian_bump, grid_field
 from jumpkernel.quadrature import QuadratureConfig
+from jumpkernel.quadrules import sphere_surface
 
 
 def test_gamma_prefactor_values():
@@ -31,69 +34,56 @@ def test_gamma_prefactor_values():
         gamma_prefactor(2.0)
 
 
-def test_omega_calibration_matches_sphere_surface():
-    assert calibrate_omega_n(1) == pytest.approx(2.0, rel=1e-6)
-    assert calibrate_omega_n(2) == pytest.approx(2.0 * math.pi, rel=1e-6)
-    # the calibration discriminates the surface 2 pi from the area pi
-    assert abs(calibrate_omega_n(2) - math.pi) > 3.0
-
-
-def test_omega_calibration_is_cached(tmp_path, monkeypatch):
+def test_omega_calibration_matches_sphere_surface(monkeypatch):
     import jumpkernel.alpha_limit as mod
 
-    monkeypatch.setenv("JUMPKERNEL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(mod, "_OMEGA_CACHE", {})
-    first = calibrate_omega_n(1)
-    assert (tmp_path / "omega_n.json").exists()
-    # a fresh in-memory cache must pick the stored value back up
-    monkeypatch.setattr(mod, "_OMEGA_CACHE", {})
-    assert calibrate_omega_n(1) == first
+    assert calibrate_omega_n(1) == sphere_surface(1)
+    assert calibrate_omega_n(2) == sphere_surface(2)
+    # the sweep discriminates the surface 2 pi from the disk area pi: with
+    # the area in the prefactor the limit would be twice -Laplacian = 4
+    rep = sweep_alpha(gaussian_bump(2), exponential_scaled(), np.zeros(2))
+    assert abs(rep.extrapolated_limit * 2.0 * math.pi / math.pi - 4.0) > 0.5 * 4.0
+    with pytest.raises(ValidationError):
+        calibrate_omega_n(3)
 
+    # a prefactor that misses the limit by 10% is reported, not returned
+    def off_by_ten_percent(u, family, x, *args, **kwargs):
+        return replace(rep, extrapolated_limit=1.1 * 4.0)
 
-def test_omega_cache_store_is_atomic(tmp_path, monkeypatch):
-    import threading
-
-    import jumpkernel.alpha_limit as mod
-
-    monkeypatch.setenv("JUMPKERNEL_CACHE_DIR", str(tmp_path))
-    caches = [{1: 2.0, 2: 2.0 * math.pi + k} for k in range(4)]
-    threads = [
-        threading.Thread(target=mod._store_file_cache, args=(c,)) for c in caches
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    # the stored file parses to one of the written caches, and no temp file
-    # is left behind
-    stored = mod._load_file_cache()
-    assert stored in caches
-    assert [p.name for p in tmp_path.iterdir()] == ["omega_n.json"]
-
-    # a write that fails halfway leaves the previous cache in place
-    def failing_dump(obj, fh, **kw):
-        fh.write("{")
-        raise OSError("disk full")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(mod.json, "dump", failing_dump)
-        mod._store_file_cache({1: 0.0})
-    assert mod._load_file_cache() == stored
-    assert [p.name for p in tmp_path.iterdir()] == ["omega_n.json"]
+    monkeypatch.setattr(mod, "sweep_alpha", off_by_ten_percent)
+    with pytest.raises(NonConvergenceError) as info:
+        calibrate_omega_n(2)
+    assert info.value.value == pytest.approx(4.4)
+    assert info.value.err_estimate == pytest.approx(0.4)
 
 
 def test_anisotropic_constant_closed_forms():
-    # C_{n,2} = sigma_{n-1}/n; p = 1 and p = 4 from the sphere integral
-    assert anisotropic_constant(1, 2.0) == pytest.approx(2.0, rel=1e-9)
-    assert anisotropic_constant(2, 2.0) == pytest.approx(math.pi, rel=1e-9)
-    assert anisotropic_constant(3, 2.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
-    assert anisotropic_constant(2, 4.0) == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-6)
-    assert anisotropic_constant(2, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-6)
-    assert anisotropic_constant(2, 1.5) == pytest.approx(2.4, abs=2e-3)
+    # C_{n,2} = sigma_{n-1}/n; the rest from the l^p-ball second moment
+    assert anisotropic_constant(1, 2.0) == pytest.approx(2.0, rel=1e-12)
+    assert anisotropic_constant(2, 2.0) == pytest.approx(math.pi, rel=1e-12)
+    assert anisotropic_constant(3, 2.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+    assert anisotropic_constant(2, 4.0) == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-12)
+    assert anisotropic_constant(2, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert anisotropic_constant(2, 1.5) == pytest.approx(2.4, rel=1e-12)
+    assert anisotropic_constant(2, 3.0) == pytest.approx(4.0, rel=1e-12)
+    assert anisotropic_constant(3, 4.0) == pytest.approx(
+        2.0 * math.sqrt(2.0) * math.pi, rel=1e-12
+    )
+    with pytest.raises(ValidationError):
+        anisotropic_constant(2, 0.5)
+    with pytest.raises(ValidationError):
+        anisotropic_constant(1.5, 2.0)
+
+
+def test_anisotropic_constant_matches_sphere_quadrature():
+    # the defining sphere integral of ||theta||_p^-(n+2), over n
+    for n, p in ((2, 1.2), (2, 7.3), (3, 7.3)):
+        ref = oracles.sphere_pnorm_integral(n, p, n + 2) / n
+        assert anisotropic_constant(n, p) == pytest.approx(ref, rel=1e-10), (n, p)
 
 
 def test_anisotropic_constant_inside_equivalence_bracket():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for p in (1.0, 1.5, 2.0, 4.0):
             lo, hi = norm_equivalence_bracket(n, p)
             c = anisotropic_constant(n, p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from jumpkernel.errors import DomainError, ValidationError
 from jumpkernel.kernels import (
@@ -64,6 +65,8 @@ def test_validation_rejects_bad_parameters():
         KernelSpec(VARIABLE_ORDER, 1, 1.0)
     with pytest.raises(ValidationError):
         KernelSpec(VARIABLE_ORDER, 1, 1.5, beta_order=1.2)
+    with pytest.raises(ValidationError, match="dim must be 1 or 2"):
+        KernelSpec(POWER_LAW, 3, 1.0)
 
 
 def test_spec_is_frozen_and_hashable():
@@ -194,6 +197,25 @@ def test_outer_mass_exponential_against_quadrature():
     rr = np.linspace(0.7, 12.0, 400001)
     integrand = 2.0 * np.exp(-rr ** 2) / math.gamma(0.5) * rr ** -2.0
     np.testing.assert_allclose(val, np.trapezoid(integrand, rr), rtol=1e-6)
+
+
+def test_outer_mass_variable_order_against_quadrature():
+    # 2 * integral_R^inf K(r) dr, with the kink of the radial law at r = 1
+    for alpha, beta in ((0.5, 1.5), (1.0, 1.0)):
+        spec = KernelSpec(VARIABLE_ORDER, 1, alpha, beta_order=beta)
+
+        def k(r):
+            return float(eval_kernel(spec, np.array([[r]]))[0])
+
+        for radius in (0.3, 0.999, 2.0):
+            ref = 2.0 * sum(
+                quad(k, lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+                for lo, hi in ((radius, max(radius, 1.0)), (max(radius, 1.0), np.inf))
+            )
+            np.testing.assert_allclose(outer_mass(spec, radius)[0], ref, rtol=1e-9)
+            np.testing.assert_allclose(
+                halfspace_mass(spec, radius)[0], 0.5 * ref, rtol=1e-9
+            )
 
 
 def test_halfspace_mass_is_half_outer_mass_in_1d():

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from jumpkernel.errors import NonConvergenceError, ValidationError
@@ -188,6 +189,40 @@ def test_nodal_residual_certified_by_the_engine():
     assert max(defects[65]) < 0.01
     for d33, d65 in zip(defects[33], defects[65]):
         assert d65 < d33
+
+
+# Relative L2 and centre errors against Getoor's torsion function, measured
+# per (dim, alpha) along grid_n; the gates sit at 1.25x these values.
+TORSION_ERRORS = {
+    (1, 0.5): {33: (0.0353, 0.0140), 65: (0.0210, 0.0070), 129: (0.0125, 0.0035)},
+    (1, 1.0): {33: (0.0367, 0.0213), 65: (0.0200, 0.0109), 129: (0.0108, 0.0056)},
+    (1, 1.5): {33: (0.0266, 0.0193), 65: (0.0147, 0.0106), 129: (0.0082, 0.0060)},
+    (2, 1.0): {17: (0.0332, None), 33: (0.0166, None)},
+}
+
+
+@pytest.mark.parametrize("dim, alpha", sorted(TORSION_ERRORS))
+def test_torsion_solve_matches_getoor(dim, alpha):
+    # L_K u = 1 in B_1, u = 0 outside, against the closed form; the 2-D sup
+    # error sits at the node nearest the boundary and does not fall with
+    # grid_n, so only the L2 and centre errors are gated
+    spec = KernelSpec(POWER_LAW, dim, alpha)
+    l2_errors = []
+    for gn, (l2_measured, centre_measured) in TORSION_ERRORS[dim, alpha].items():
+        dom = DomainSpec(dim=dim, radius=1.0, grid_n=gn)
+        u, _ = solve_dirichlet(spec, F_ONE, dom)
+        pts = np.stack(np.meshgrid(*dom.lattice_axes(), indexing="ij"), axis=-1)
+        exact = oracles.torsion_ball(pts, alpha)
+        got = u.grid.values
+        l2 = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+        assert l2 <= 1.25 * l2_measured, (gn, l2)
+        if centre_measured is not None:
+            c = (gn // 2,) * dim
+            centre = abs(got[c] - exact[c]) / exact[c]
+            assert centre <= 1.25 * centre_measured, (gn, centre)
+        l2_errors.append(l2)
+    for coarse, fine in zip(l2_errors, l2_errors[1:]):
+        assert coarse >= 1.5 * fine, l2_errors
 
 
 def test_2d_solve_smoke():
