@@ -28,7 +28,9 @@ kink at every lattice node, so the paired second difference of the raw
 interpolant does not decay like r^2 there and the PV integral of the
 interpolant itself diverges for alpha >= 1.  Instead the inner ball uses
 the local quadratic model built from second differences of the samples
-(the natural C^{1,1} surrogate, and the reason eps_inner must be >= 4h).
+(the natural C^{1,1} surrogate, and the reason eps_inner must be >= 2h,
+the smallest radius that covers the second-difference stencil; the 4h of
+``default_config`` is only its choice, and the solver's assembly uses 2h).
 """
 
 from __future__ import annotations

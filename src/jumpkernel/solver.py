@@ -37,6 +37,8 @@ from .nonlinearity import (
     NonlinearitySpec,
     eval_f,
     eval_f_prime,
+    eval_G,
+    eval_G_prime,
 )
 from .quadrature import QuadratureConfig, eval_FGK, eval_LK
 from .quadrules import tensor_gauss_cell
@@ -94,8 +96,10 @@ class SolveReport:
     converged: bool
     final_residual_sup: float
     # node evaluations whose quadrature did not converge and whose
-    # unconverged value was used anyway (nonlinear solves only)
+    # unconverged value was used anyway (nonlinear solves only): over all
+    # PV passes, and in the pass whose residual was accepted
     suppressed_nonconvergence: int = 0
+    final_pass_suppressed: int = 0
 
 
 def hat_field(domain: DomainSpec, center) -> Field:
@@ -203,32 +207,17 @@ def _raise_nonconvergence(msg, field, report):
     raise exc
 
 
-def solve_dirichlet(
-    spec: KernelSpec,
-    f: NonlinearitySpec,
-    domain: DomainSpec,
-    cfg: QuadratureConfig | None = None,
-    solve_tol: float = 1e-10,
-    max_iter: int = 60,
-    op: DiscreteOperator | None = None,
-):
-    """Damped Newton for A u = f(u); linear f converges in one step."""
-    if op is None:
-        op = assemble_LK_matrix(spec, domain, cfg)
-    m = op.A.shape[0]
-    u = np.zeros(m)
-
-    def residual(v):
-        return op.A @ v - eval_f(f, v)
-
+def _damped_newton(residual, jacobian, u, solve_tol, max_iter):
+    """Newton steps u <- u - t J(u)^-1 r(u), with t halved (down to 1/1024)
+    until the sup residual falls; stops at ``solve_tol`` or ``max_iter``
+    accepted steps.  Returns the last accepted iterate, the sup residual of
+    the start and of every accepted step, and whether it converged."""
     r = residual(u)
     history = [float(np.max(np.abs(r)))]
     converged = history[-1] <= solve_tol
-    it = 0
-    while not converged and it < max_iter:
-        J = op.A - np.diag(eval_f_prime(f, u))
+    while not converged and len(history) <= max_iter:
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(jacobian(u), -r)
         except np.linalg.LinAlgError:
             break
         t = 1.0
@@ -243,19 +232,62 @@ def solve_dirichlet(
             break
         u, r = cand, rc
         history.append(float(np.max(np.abs(r))))
-        it += 1
         converged = history[-1] <= solve_tol
+    return u, history, bool(converged)
 
+
+def solve_dirichlet(
+    spec: KernelSpec,
+    f: NonlinearitySpec,
+    domain: DomainSpec,
+    cfg: QuadratureConfig | None = None,
+    solve_tol: float = 1e-10,
+    max_iter: int = 60,
+    op: DiscreteOperator | None = None,
+):
+    """Damped Newton for A u = f(u); linear f converges in one step."""
+    if op is None:
+        op = assemble_LK_matrix(spec, domain, cfg)
+    u, history, converged = _damped_newton(
+        lambda v: op.A @ v - eval_f(f, v),
+        lambda v: op.A - np.diag(eval_f_prime(f, v)),
+        np.zeros(op.A.shape[0]), solve_tol, max_iter,
+    )
     report = SolveReport(
         residual_history=history,
-        iterations=it,
-        converged=bool(converged),
+        iterations=len(history) - 1,
+        converged=converged,
         final_residual_sup=history[-1],
     )
     fld = solution_field(domain, op, u)
     if not converged:
         _raise_nonconvergence("Dirichlet solve did not converge", fld, report)
     return fld, report
+
+
+def stencil_form(op: DiscreteOperator, gspec: NonlinearitySpec):
+    """The stencil form F_h of F_{G,K} on ``op``'s lattice, and the Jacobian
+    J_h of F_h(u) - f(u).
+
+    With the pair weights W = -offdiag(A) and the exterior mass e = A 1 of
+    each row, F_h(u)_i = sum_{j != i} W_ij G(u_i - u_j) + e_i G(u_i), which
+    is A u for G = id.  This is the finite-difference scheme of del Teso &
+    Lindgren (J. Sci. Comput. 2022) and del Teso, Endal & Jakobsen (SINUM
+    2018); unlike the principal-value residual it has an exact Jacobian.
+    """
+    W = np.diag(np.diag(op.A)) - op.A
+    e = op.A.sum(axis=1)
+
+    def F_h(v):
+        diff = v[:, None] - v[None, :]
+        return np.sum(W * eval_G(gspec, diff), axis=1) + e * eval_G(gspec, v)
+
+    def J_h(v):
+        Wp = W * eval_G_prime(gspec, v[:, None] - v[None, :])
+        diag = Wp.sum(axis=1) + e * eval_G_prime(gspec, v) - eval_f_prime(gspec, v)
+        return np.diag(diag) - Wp
+
+    return F_h, J_h
 
 
 def solve_dirichlet_nonlinear(
@@ -267,15 +299,24 @@ def solve_dirichlet_nonlinear(
     max_iter: int = 40,
     op: DiscreteOperator | None = None,
 ):
-    """F_{G,K} u = f(u) by a damped fixed-point sweep on the residual.
+    """F_{G,K} u = f(u) by Newton on the stencil form of F_{G,K}, then
+    principal-value (PV) defect correction.
 
-    Each sweep re-evaluates F_{G,K} at every interior node through the full
-    principal-value quadrature of the current iterate (no linearization
-    through G — its derivative degenerates at 0).  The linear stencil matrix
-    serves only as a constant preconditioner for the update direction, with
-    Armijo-style step halving for robustness.  A node evaluation whose
-    quadrature does not converge keeps its unconverged value; the report
-    counts these in ``suppressed_nonconvergence``.
+    The discrete problem is PV collocation: F_{G,K} of the solution field,
+    evaluated by the full PV quadrature at every interior node, must match
+    f(u) there to ``solve_tol`` in the sup norm.  That residual has no cheap
+    Jacobian, but the stencil form F_h (``stencil_form``) approximates it
+    and has one.  Stage 1 runs damped Newton on F_h(u) = f(u) from
+    sign(c) |c|^(1/(1+gamma)) A^-1 1 with c = f(0): G is (1+gamma)-homogeneous
+    and G'(0) = 0, so the start must be off 0 and of the right amplitude.
+    Stage 2 repeats u <- u - t J_h(u)^-1 r_PV(u), one PV pass per residual,
+    halving t while the sup residual does not fall.  ``max_iter`` bounds the
+    accepted steps of each stage; the report describes stage 2.
+
+    A node evaluation whose quadrature does not converge keeps its
+    unconverged value.  The report counts these over all passes in
+    ``suppressed_nonconvergence`` and in the accepted pass alone in
+    ``final_pass_suppressed``.
     """
     if gspec.g_kind == G_IDENTITY or gspec.gamma == 0.0:
         return solve_dirichlet(
@@ -283,101 +324,50 @@ def solve_dirichlet_nonlinear(
         )
     if op is None:
         op = assemble_LK_matrix(spec, domain, cfg)
-    cfg = op.cfg
     m = op.A.shape[0]
-    nodes = op.nodes
-    gamma = float(gspec.gamma)
-    suppressed = 0
-
-    def residual(v):
-        nonlocal suppressed
-        fld = solution_field(domain, op, v)
-        vals = np.empty(m)
-        for i in range(m):
-            try:
-                vals[i] = eval_FGK(fld, gspec, spec, nodes[i], cfg).value
-            except NonConvergenceError as exc:
-                vals[i] = exc.value
-                suppressed += 1
-        return vals - eval_f(gspec, v)
+    c = float(eval_f(gspec, np.zeros(1))[0])
 
     # G(0) = 0, so u == 0 solves the problem whenever f(0) does not push it.
-    if abs(float(eval_f(gspec, np.zeros(1))[0])) <= solve_tol:
+    if abs(c) <= solve_tol:
         report = SolveReport(
-            residual_history=[abs(float(eval_f(gspec, np.zeros(1))[0]))],
+            residual_history=[abs(c)],
             iterations=0,
             converged=True,
-            final_residual_sup=abs(float(eval_f(gspec, np.zeros(1))[0])),
+            final_residual_sup=abs(c),
         )
         return solution_field(domain, op, np.zeros(m)), report
 
-    # G is (1 + gamma)-homogeneous, so F_{G,K}(c w) = c^(1+gamma) F_{G,K}(w)
-    # exactly: one evaluation along the linear solver's profile w gives the
-    # whole one-parameter family, and the best amplitude on it is a strong
-    # start despite G'(0) = 0 making the problem degenerate at u = 0.
-    lu = np.linalg.inv(op.A)
-    w = lu @ np.ones(m)
-    w_field_res = residual(w) + eval_f(gspec, w)  # = F_{G,K}(w) at the nodes
-    cs = np.linspace(0.0, 4.0, 321)[1:]
-    fit = [
-        float(np.max(np.abs(c ** (1.0 + gamma) * w_field_res - eval_f(gspec, c * w))))
-        for c in cs
-    ]
-    u = cs[int(np.argmin(fit))] * w
-    r = residual(u)
-    history = [float(np.max(np.abs(r)))]
-    converged = history[-1] <= solve_tol
-    it = 0
-    # Damped fixed point on the residual: the increment is the identity-G
-    # stencil applied to r scaled by the secant slope of G at the iterate's
-    # amplitude — F is re-evaluated every sweep and never linearized through
-    # G.  Plain damped steps contract too slowly once the boundary nodes
-    # (tiny differences, tiny effective slope) start to dominate, so the
-    # iterates are Anderson-mixed: a least-squares combination of the recent
-    # preconditioned residuals, falling back to an Armijo-halved plain step
-    # (and a cleared mixing window) whenever the mixed candidate fails to
-    # reduce the residual.
-    amp = max(float(np.max(np.abs(u))), 1e-6)
-    s = (1.0 + gamma) * amp ** gamma
-    depth = 6
-    us = [u.copy()]
-    qs = [-(lu @ (r / s))]
-    while not converged and it < max_iter:
-        k = len(us)
-        if k >= 2:
-            dq = np.stack([qs[j + 1] - qs[j] for j in range(k - 1)], axis=1)
-            theta, *_ = np.linalg.lstsq(dq, qs[-1], rcond=None)
-            dus = np.stack([us[j + 1] - us[j] for j in range(k - 1)], axis=1)
-            cand = us[-1] + qs[-1] - dus @ theta - dq @ theta
-        else:
-            cand = us[-1] + qs[-1]
-        rc = residual(cand)
-        if float(np.linalg.norm(rc)) >= float(np.linalg.norm(r)):
-            t = 1.0
-            while t >= 1.0 / 1024.0:
-                cand = u + t * qs[-1]
-                rc = residual(cand)
-                if float(np.linalg.norm(rc)) < float(np.linalg.norm(r)):
-                    break
-                t *= 0.5
-            else:
-                break
-            us, qs = [], []
-        u, r = cand, rc
-        us.append(u.copy())
-        qs.append(-(lu @ (r / s)))
-        if len(us) > depth + 1:
-            us, qs = us[-(depth + 1):], qs[-(depth + 1):]
-        history.append(float(np.max(np.abs(r))))
-        it += 1
-        converged = history[-1] <= solve_tol
+    F_h, J_h = stencil_form(op, gspec)
+    w = np.linalg.solve(op.A, np.ones(m))
+    u, _, _ = _damped_newton(
+        lambda v: F_h(v) - eval_f(gspec, v), J_h,
+        np.sign(c) * abs(c) ** (1.0 / (1.0 + gspec.gamma)) * w, solve_tol, max_iter,
+    )
 
+    # (iterate, suppressed non-convergences) of every PV pass
+    passes = []
+
+    def pv_residual(v):
+        fld = solution_field(domain, op, v)
+        vals = np.empty(m)
+        n = 0
+        for i in range(m):
+            try:
+                vals[i] = eval_FGK(fld, gspec, spec, op.nodes[i], op.cfg).value
+            except NonConvergenceError as exc:
+                vals[i] = exc.value
+                n += 1
+        passes.append((v.tobytes(), n))
+        return vals - eval_f(gspec, v)
+
+    u, history, converged = _damped_newton(pv_residual, J_h, u, solve_tol, max_iter)
     report = SolveReport(
         residual_history=history,
-        iterations=it,
-        converged=bool(converged),
+        iterations=len(history) - 1,
+        converged=converged,
         final_residual_sup=history[-1],
-        suppressed_nonconvergence=suppressed,
+        suppressed_nonconvergence=sum(n for _, n in passes),
+        final_pass_suppressed=dict(passes)[u.tobytes()],
     )
     fld = solution_field(domain, op, u)
     if not converged:
