@@ -4,10 +4,12 @@ As the singularity exponent approaches 2 the nonlocal operators collapse to
 second-order differential operators; with the right scalar prefactor the
 Gaussian-weighted kernel reproduces -Laplacian u, the p-norm kernel
 reproduces -C_{n,p} Laplacian u, and the diagonally transformed kernel
-reproduces -sum lambda_i^2 d_ii u.  This module runs those sweeps with
-Richardson extrapolation in (2 - alpha), and gives C_{n,p} and omega_n
-(the sphere surface in the 4n/omega_n prefactor) in closed form, with the
-norm-equivalence bracket for C_{n,p}.
+reproduces -sum lambda_i^2 d_ii u.  A sweep takes the ``KernelSpec`` of
+one of those kinds and varies only its ``alpha``, with Richardson
+extrapolation in (2 - alpha); every other kind (DiagQuadratic included) has
+no second-order limit here and is rejected.  The module also gives C_{n,p}
+and omega_n (the sphere surface in the 4n/omega_n prefactor) in closed
+form, with the norm-equivalence bracket for C_{n,p}.
 """
 
 from __future__ import annotations
@@ -31,16 +33,10 @@ from .quadrature import QuadratureConfig, eval_LK
 from .quadrules import richardson_fit, sphere_surface
 
 __all__ = [
-    "FAMILY_EXPONENTIAL",
-    "FAMILY_ANISOTROPIC",
-    "FAMILY_MATRIX_DIAG",
-    "SweepFamily",
+    "LIMIT_FAMILIES",
     "AlphaSweepReport",
     "DEFAULT_ALPHAS",
     "gamma_prefactor",
-    "exponential_scaled",
-    "anisotropic",
-    "matrix_diag",
     "sweep_alpha",
     "anisotropic_constant",
     "norm_equivalence_bracket",
@@ -48,45 +44,14 @@ __all__ = [
     "inner_ball_ratio",
 ]
 
-FAMILY_EXPONENTIAL = "ExponentialScaled"
-FAMILY_ANISOTROPIC = "Anisotropic"
-FAMILY_MATRIX_DIAG = "MatrixDiag"
+# Each kernel kind with a second-order limit -> the family name reports carry.
+LIMIT_FAMILIES = {
+    EXPONENTIAL: "ExponentialScaled",
+    ANISOTROPIC_P: "Anisotropic",
+    MATRIX_TRANSFORMED: "MatrixDiag",
+}
 
 DEFAULT_ALPHAS = (1.9, 1.95, 1.99)
-
-
-@dataclass(frozen=True)
-class SweepFamily:
-    """Which scaled kernel family a sweep runs over.
-
-    ``MatrixDiag`` sits outside the two families with a full second-order
-    limit analysis; it exists for the single diagonal-matrix smoke test
-    against -sum lambda_i^2 d_ii u.
-    """
-
-    kind: str
-    p: float = 2.0
-    lambda_diag: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in (FAMILY_EXPONENTIAL, FAMILY_ANISOTROPIC, FAMILY_MATRIX_DIAG):
-            raise ValidationError(f"unknown sweep family {self.kind!r}")
-        if self.kind == FAMILY_ANISOTROPIC and self.p < 1.0:
-            raise ValidationError("p must be at least 1")
-        if self.kind == FAMILY_MATRIX_DIAG and not self.lambda_diag:
-            raise ValidationError("MatrixDiag needs a diagonal")
-
-
-def exponential_scaled() -> SweepFamily:
-    return SweepFamily(FAMILY_EXPONENTIAL)
-
-
-def anisotropic(p: float) -> SweepFamily:
-    return SweepFamily(FAMILY_ANISOTROPIC, p=float(p))
-
-
-def matrix_diag(lambda_diag) -> SweepFamily:
-    return SweepFamily(FAMILY_MATRIX_DIAG, lambda_diag=tuple(float(v) for v in lambda_diag))
 
 
 @dataclass(frozen=True)
@@ -97,7 +62,7 @@ class AlphaSweepReport:
     reference: float
     rel_error: Optional[float]
     flagged: bool
-    family: SweepFamily
+    family: str
 
     def __post_init__(self):
         a = self.alpha_list
@@ -115,45 +80,41 @@ def gamma_prefactor(alpha: float) -> float:
     return 1.0 / math.gamma((2.0 - alpha) / 2.0)
 
 
-def _kernel_for(family: SweepFamily, dim: int, alpha: float) -> KernelSpec:
-    if family.kind == FAMILY_EXPONENTIAL:
-        return KernelSpec(EXPONENTIAL, dim, alpha)
-    if family.kind == FAMILY_ANISOTROPIC:
-        return KernelSpec(ANISOTROPIC_P, dim, alpha, p_norm=family.p)
-    return KernelSpec(MATRIX_TRANSFORMED, dim, alpha, lambda_diag=family.lambda_diag)
-
-
-def _prefactor(family: SweepFamily, dim: int) -> float:
-    if family.kind == FAMILY_EXPONENTIAL:
-        return 4.0 * dim / sphere_surface(dim)
-    if family.kind == FAMILY_ANISOTROPIC:
+def _prefactor(spec: KernelSpec) -> float:
+    if spec.kind == EXPONENTIAL:
+        return 4.0 * spec.dim / sphere_surface(spec.dim)
+    if spec.kind == ANISOTROPIC_P:
         # The paired Taylor expansion halves the second-order term, so the
         # raw C_n = 1 operator tends to -(1/2) C_{n,p} Laplacian u; the
         # factor 2 restores the -C_{n,p} Laplacian u normalization the limit
         # is stated against.
         return 2.0
-    return 2.0 * dim / sphere_surface(dim)
+    return 2.0 * spec.dim / sphere_surface(spec.dim)
 
 
-def _reference(family: SweepFamily, u: Field, x) -> float:
+def _reference(spec: KernelSpec, u: Field, x) -> float:
     hess = np.asarray(u.hessian(x), dtype=float)
     diag = np.diag(hess)
-    if family.kind == FAMILY_MATRIX_DIAG:
-        lams = np.asarray(family.lambda_diag, dtype=float)
+    if spec.kind == MATRIX_TRANSFORMED:
+        lams = np.asarray(spec.lambda_diag, dtype=float)
         return float(-np.sum(lams ** 2 * diag))
-    if family.kind == FAMILY_ANISOTROPIC:
-        return float(-anisotropic_constant(u.dim, family.p) * np.sum(diag))
+    if spec.kind == ANISOTROPIC_P:
+        return float(-anisotropic_constant(u.dim, spec.p_norm) * np.sum(diag))
     return float(-np.sum(diag))
 
 
 def sweep_alpha(
     u: Field,
-    family: SweepFamily,
+    kernel: KernelSpec,
     x,
     alpha_list: Sequence[float] = DEFAULT_ALPHAS,
     cfg: Optional[QuadratureConfig] = None,
 ) -> AlphaSweepReport:
     """Evaluate the scaled operator along alpha_list and extrapolate to 2.
+
+    Each step evaluates ``kernel`` with only its ``alpha`` replaced, so the
+    sweep runs on the configured spec; its kind must have a second-order
+    limit (a key of ``LIMIT_FAMILIES``), else ``ValidationError``.
 
     The inner-ball radius shrinks like sqrt(2 - alpha) along the sweep so the
     local Taylor error stays uniform while the singularity strengthens; a
@@ -161,6 +122,10 @@ def sweep_alpha(
     giving up.  The report is flagged when the linear and quadratic
     extrapolants disagree by more than 1%.
     """
+    if kernel.kind not in LIMIT_FAMILIES:
+        raise ValidationError(
+            f"kernel.kind: {kernel.kind} has no second-order limit family"
+        )
     if u.grid is not None:
         raise ValidationError("alpha sweep needs a smooth closed-form field")
     alphas = [float(a) for a in alpha_list]
@@ -172,13 +137,13 @@ def sweep_alpha(
     if x.size != u.dim:
         raise ValidationError("point dimension mismatch")
     base = cfg if cfg is not None else QuadratureConfig()
-    pref = _prefactor(family, u.dim)
+    pref = _prefactor(kernel)
     gap0 = 2.0 - alphas[0]
     values = []
     for a in alphas:
         eps = base.eps_inner * math.sqrt((2.0 - a) / gap0)
         attempt = replace(base, eps_inner=eps)
-        spec = _kernel_for(family, u.dim, a)
+        spec = replace(kernel, alpha=a)
         for retry in range(4):
             try:
                 res = eval_LK(u, spec, x, attempt)
@@ -192,7 +157,7 @@ def sweep_alpha(
     quad, lin = richardson_fit(gaps, values)
     scale = max(abs(quad), 1e-12)
     flagged = abs(quad - lin) > 0.01 * scale
-    ref = _reference(family, u, x)
+    ref = _reference(kernel, u, x)
     rel = abs(quad - ref) / abs(ref) if ref != 0.0 else None
     return AlphaSweepReport(
         alpha_list=tuple(alphas),
@@ -201,7 +166,7 @@ def sweep_alpha(
         reference=ref,
         rel_error=rel,
         flagged=bool(flagged),
-        family=family,
+        family=LIMIT_FAMILIES[kernel.kind],
     )
 
 
@@ -258,7 +223,7 @@ def calibrate_omega_n(n: int) -> float:
     if n not in (1, 2):
         raise ValidationError("calibration covers n in {1,2}")
     target = 2.0 * n
-    rep = sweep_alpha(gaussian_bump(n), exponential_scaled(), np.zeros(n))
+    rep = sweep_alpha(gaussian_bump(n), KernelSpec(EXPONENTIAL, n, 1.9), np.zeros(n))
     miss = abs(rep.extrapolated_limit - target)
     if miss > 0.02 * target:
         raise NonConvergenceError(
@@ -284,8 +249,8 @@ def inner_ball_ratio(
     if u.grid is not None:
         raise ValidationError("inner-ball ratio needs a smooth field")
     x = np.asarray(x, dtype=float).reshape(-1)
-    pref = _prefactor(exponential_scaled(), u.dim)
     spec = KernelSpec(EXPONENTIAL, u.dim, alpha)
+    pref = _prefactor(spec)
     res = eval_LK(u, spec, x, QuadratureConfig(eps_inner=eps))
     denom = -float(np.trace(np.asarray(u.hessian(x), dtype=float)))
     if denom == 0.0:

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ValidationError, NonConvergenceError
 from . import kernels
 from .kernels import (
-    kernel_to_dict,
     eval_kernel,
     check_levy_khintchine,
     check_K1,
@@ -62,6 +61,7 @@ from .config import (
     ExperimentConfig,
     FieldSpec,
     load_config,
+    to_dict,
     with_overrides,
     TASKS,
     TASK_CHECK_KERNEL,
@@ -169,7 +169,7 @@ def _run_check_kernel(config, outdir, written):
     conditions = {"LevyKhintchine": reports[0], "K1": reports[1],
                   "K2": reports[2], "Evenness": reports[3]}
     payload = {
-        "kernel": kernel_to_dict(spec),
+        "kernel": to_dict(spec),
         "conditions": [_report_dict(r) for r in conditions.values()],
     }
     holds = {name: bool(rep.holds) for name, rep in conditions.items()}
@@ -340,25 +340,12 @@ def _run_verify_symmetry(config, outdir, written):
     }
 
 
-def _sweep_family(spec):
-    if spec.kind == kernels.EXPONENTIAL:
-        return alpha_limit.exponential_scaled()
-    if spec.kind == kernels.ANISOTROPIC_P:
-        return alpha_limit.anisotropic(spec.p_norm)
-    if spec.kind in (kernels.MATRIX_TRANSFORMED, kernels.DIAG_QUADRATIC):
-        return alpha_limit.matrix_diag(spec.lambda_diag)
-    raise ValidationError(
-        f"kernel.kind: {spec.kind} has no second-order limit family"
-    )
-
-
 def _run_sweep_alpha(config, outdir, written):
     spec = config.kernel
-    family = _sweep_family(spec)
     u = (config.field or FieldSpec()).build(spec.dim)
     x = np.asarray(config.points[0]) if config.points else np.zeros(spec.dim)
     alphas = config.alpha_list or alpha_limit.DEFAULT_ALPHAS
-    rep = alpha_limit.sweep_alpha(u, family, x, alphas, cfg=config.quadrature)
+    rep = alpha_limit.sweep_alpha(u, spec, x, alphas, cfg=config.quadrature)
     gaps = [2.0 - a for a in rep.alpha_list]
     running = [rep.values[0]]
     for k in range(2, len(gaps) + 1):
@@ -376,7 +363,7 @@ def _run_sweep_alpha(config, outdir, written):
     written.append("alpha_sweep.csv")
     abs_error = abs(rep.extrapolated_limit - rep.reference)
     return {
-        "family": family.kind,
+        "family": rep.family,
         "extrapolated_limit": rep.extrapolated_limit,
         "reference": rep.reference,
         "rel_error": rep.rel_error,

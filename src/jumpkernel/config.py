@@ -2,29 +2,32 @@
 
 One config file describes one batch experiment: which task to run, the
 kernel (and optionally nonlinearity / solve domain) it runs on, quadrature
-settings, and where artifacts go.  Section names mirror the library
-dataclasses so a config is readable next to the code.  ``load_config`` /
-``save_config`` round-trip exactly: parsing the saved form reproduces the
-original object field for field.
+settings, and where artifacts go.  Each section is one library spec
+(``KernelSpec``, ``QuadratureConfig``, ``NonlinearitySpec``, ``DomainSpec``,
+``FieldSpec``) and its keys are that dataclass's fields; the top level is
+``ExperimentConfig``.  ``to_dict`` / ``from_dict`` are the one mapping
+between a spec and its JSON form, so ``load_config`` / ``save_config``
+round-trip exactly: parsing the saved form reproduces the original object
+field for field.
 
 Validation messages always name the offending key or section, because the
-batch front-end surfaces them verbatim as the exit-1 diagnostic.
+batch front-end surfaces them verbatim as the exit-1 diagnostic: an unknown
+key, a missing required key, a value of the wrong JSON type and a value the
+spec itself rejects all raise ``ValidationError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field as dc_field, asdict, replace
+from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields as dc_fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import KernelSpec, kernel_to_dict, kernel_from_dict
-from .nonlinearity import (
-    NonlinearitySpec,
-    nonlinearity_to_dict,
-    nonlinearity_from_dict,
-)
+from .kernels import KernelSpec
+from .nonlinearity import NonlinearitySpec
 from .quadrature import QuadratureConfig
 from .solver import DomainSpec
 from . import fields
@@ -218,110 +221,78 @@ class ExperimentConfig:
 
 
 # ----------------------------------------------------------------------------
-# Serialization
+# Serialization: one JSON mapping for every spec, driven by its fields
 # ----------------------------------------------------------------------------
 
+# The nested sections of a config and the spec each one parses into.
+_SECTIONS = {
+    "kernel": KernelSpec,
+    "quadrature": QuadratureConfig,
+    "nonlinearity": NonlinearitySpec,
+    "domain": DomainSpec,
+    "field": FieldSpec,
+}
 
-def _quadrature_to_dict(cfg: QuadratureConfig) -> dict:
-    return asdict(cfg)
-
-
-def _quadrature_from_dict(d: dict) -> QuadratureConfig:
-    known = {"eps_inner", "r_outer", "rel_tol", "max_depth"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValidationError(f"quadrature: unknown fields {sorted(unknown)}")
-    return QuadratureConfig(**d)
-
-
-def _domain_to_dict(dom: DomainSpec) -> dict:
-    return asdict(dom)
+# A float field also takes a JSON integer, a tuple field a JSON list.
+_JSON_TYPES = {float: (int, float), tuple: (list, tuple)}
 
 
-def _domain_from_dict(d: dict) -> DomainSpec:
-    known = {"dim", "radius", "grid_n"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValidationError(f"domain: unknown fields {sorted(unknown)}")
-    return DomainSpec(**d)
-
-
-def _field_to_dict(fs: FieldSpec) -> dict:
-    d = asdict(fs)
-    d["center"] = list(d["center"])
-    return d
-
-
-def _field_from_dict(d: dict) -> FieldSpec:
-    known = {"shape", "center", "scale", "amplitude"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValidationError(f"field: unknown fields {sorted(unknown)}")
-    return FieldSpec(**d)
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    d = {
-        "task": config.task,
-        "kernel": kernel_to_dict(config.kernel),
-        "output_dir": config.output_dir,
-        "seed": config.seed,
-        "label": config.label,
-        "source": config.source,
-        "solve_tol": config.solve_tol,
-        "axis": config.axis,
-        "points": [list(p) for p in config.points],
-        "point_count": config.point_count,
-        "alpha_list": list(config.alpha_list),
-        "delta_list": list(config.delta_list),
-        "radius_list": list(config.radius_list),
-        "evenness_shift": config.evenness_shift,
-        "expect": dict(config.expect),
+@functools.cache
+def _accepted_types(cls) -> dict:
+    """Field name -> the Python types its JSON value may have.  Cached per
+    spec class: resolving the annotations costs more than the parse."""
+    return {
+        name: tuple(t for h in (get_args(hint) or (hint,)) for t in _JSON_TYPES.get(h, (h,)))
+        for name, hint in get_type_hints(cls).items()
     }
-    if config.quadrature is not None:
-        d["quadrature"] = _quadrature_to_dict(config.quadrature)
-    if config.nonlinearity is not None:
-        d["nonlinearity"] = nonlinearity_to_dict(config.nonlinearity)
-    if config.domain is not None:
-        d["domain"] = _domain_to_dict(config.domain)
-    if config.field is not None:
-        d["field"] = _field_to_dict(config.field)
-    return d
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
+def to_dict(spec) -> dict:
+    """The JSON form of a spec or config: its fields, ``None`` entries dropped
+    at every level."""
+    return asdict(spec, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+
+
+def _tuples(v):
+    return tuple(_tuples(x) for x in v) if isinstance(v, list) else v
+
+
+def from_dict(cls, d, section: str = "config"):
+    """Build ``cls`` from its JSON form; every error names the key at fault.
+
+    The keys are the dataclass fields of ``cls``: an unknown key, a missing
+    field without a default, or a value of the wrong JSON type is a
+    ``ValidationError``.  Lists become tuples; the nested sections of a
+    config parse through ``_SECTIONS``.
+    """
     if not isinstance(d, dict):
-        raise ValidationError("config must be a JSON object")
-    known = {
-        "task", "kernel", "quadrature", "nonlinearity", "domain", "field",
-        "output_dir", "seed", "label", "source", "solve_tol", "axis",
-        "points", "point_count", "alpha_list", "delta_list", "radius_list",
-        "evenness_shift", "expect",
-    }
-    unknown = set(d) - known
+        raise ValidationError(f"{section}: must be a JSON object")
+    declared = {f.name: f for f in dc_fields(cls)}
+    unknown = sorted(set(d) - set(declared))
     if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    if "task" not in d:
-        raise ValidationError("task: missing required key")
-    if "kernel" not in d:
-        raise ValidationError("kernel: missing required section")
-    kw = dict(d)
+        raise ValidationError(f"unknown {section} keys {unknown}")
+    accepted = _accepted_types(cls)
+    kw = {}
+    for name, f in declared.items():
+        if name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"{section}.{name}: missing required key")
+            continue
+        value = d[name]
+        if cls is ExperimentConfig and name in _SECTIONS and value is not None:
+            kw[name] = from_dict(_SECTIONS[name], value, name)
+            continue
+        if not isinstance(value, accepted[name]):
+            raise ValidationError(
+                f"{section}.{name}: expected {f.type}, got {type(value).__name__}"
+            )
+        kw[name] = _tuples(value)
     try:
-        kw["kernel"] = kernel_from_dict(d["kernel"])
-    except ValidationError as exc:
-        raise ValidationError(f"kernel: {exc}") from exc
-    if "quadrature" in d:
-        kw["quadrature"] = _quadrature_from_dict(d["quadrature"])
-    if "nonlinearity" in d:
-        try:
-            kw["nonlinearity"] = nonlinearity_from_dict(d["nonlinearity"])
-        except ValidationError as exc:
-            raise ValidationError(f"nonlinearity: {exc}") from exc
-    if "domain" in d:
-        kw["domain"] = _domain_from_dict(d["domain"])
-    if "field" in d:
-        kw["field"] = _field_from_dict(d["field"])
-    return ExperimentConfig(**kw)
+        return cls(**kw)
+    except (TypeError, ValueError) as exc:
+        if cls is ExperimentConfig and isinstance(exc, ValidationError):
+            raise
+        raise ValidationError(f"{section}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -330,12 +301,12 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return from_dict(ExperimentConfig, raw)
 
 
 def save_config(config: ExperimentConfig, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(to_dict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

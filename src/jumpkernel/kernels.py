@@ -20,7 +20,7 @@ needed by second-order limits are applied by the sweep drivers, never here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -461,27 +461,3 @@ def check_monotone_K2(
     return check_axis_monotonicity(
         lambda pts: eval_kernel(spec, pts), spec.dim, axis, sample_count, seed
     )
-
-
-# ----------------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------------
-
-
-def kernel_to_dict(spec: KernelSpec) -> dict:
-    d = asdict(spec)
-    d["lambda_diag"] = list(d["lambda_diag"])
-    if d["beta_order"] is None:
-        del d["beta_order"]
-    return d
-
-
-def kernel_from_dict(d: dict) -> KernelSpec:
-    known = {"kind", "dim", "alpha", "c_lower", "p_norm", "lambda_diag", "beta_order"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValidationError(f"unknown kernel fields: {sorted(unknown)}")
-    kw = dict(d)
-    if "lambda_diag" in kw:
-        kw["lambda_diag"] = tuple(kw["lambda_diag"])
-    return KernelSpec(**kw)

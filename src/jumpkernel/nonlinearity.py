@@ -17,7 +17,7 @@ max(|t1|, |t2|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,28 +276,3 @@ def mvt_min_ratio(gamma: float, sample_count=10000, seed=0, scale=5.0):
     xi = (slope / (gamma + 1.0)) ** (1.0 / gamma)
     ratio = xi / np.maximum(np.abs(t1), np.abs(t2))
     return float(np.min(ratio))
-
-
-# ----------------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------------
-
-
-def nonlinearity_to_dict(spec: NonlinearitySpec) -> dict:
-    d = asdict(spec)
-    d["table"] = [list(pair) for pair in d["table"]]
-    return {k: v for k, v in d.items() if v is not None}
-
-
-def nonlinearity_from_dict(d: dict) -> NonlinearitySpec:
-    known = {
-        "g_kind", "gamma", "f_kind", "s", "f_scale", "f_offset", "f_slope",
-        "table", "C1", "C2", "eps_g2",
-    }
-    unknown = set(d) - known
-    if unknown:
-        raise ValidationError(f"unknown nonlinearity fields: {sorted(unknown)}")
-    kw = dict(d)
-    if "table" in kw:
-        kw["table"] = tuple(tuple(p) for p in kw["table"])
-    return NonlinearitySpec(**kw)

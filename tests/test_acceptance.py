@@ -14,11 +14,8 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 from jumpkernel.alpha_limit import (
-    anisotropic,
     anisotropic_constant,
-    exponential_scaled,
     inner_ball_ratio,
-    matrix_diag,
     norm_equivalence_bracket,
     sweep_alpha,
 )
@@ -106,7 +103,7 @@ def linear_ball_2d():
 def test_criterion_01_alpha_sweep_reaches_laplacian():
     for n in (1, 2):
         start = time.monotonic()
-        rep = sweep_alpha(gaussian_bump(n), exponential_scaled(), np.zeros(n))
+        rep = sweep_alpha(gaussian_bump(n), KernelSpec(EXPONENTIAL, n, 1.9), np.zeros(n))
         elapsed = time.monotonic() - start
         assert rep.reference == pytest.approx(2.0 * n, rel=1e-12)
         assert rep.rel_error <= 0.02, (n, rep.rel_error)
@@ -115,7 +112,8 @@ def test_criterion_01_alpha_sweep_reaches_laplacian():
 
 def test_criterion_02_anisotropic_constant_and_sweep():
     assert anisotropic_constant(2, 2.0) == pytest.approx(math.pi, rel=0.01)
-    rep = sweep_alpha(gaussian_bump(2), anisotropic(4.0), np.zeros(2))
+    rep = sweep_alpha(gaussian_bump(2), KernelSpec(ANISOTROPIC_P, 2, 1.9, p_norm=4.0),
+                      np.zeros(2))
     assert rep.rel_error <= 0.03, rep.rel_error
     lo, hi = norm_equivalence_bracket(2, 4.0)
     c24 = anisotropic_constant(2, 4.0)
@@ -331,6 +329,8 @@ def test_criterion_12_sweep_recovers_center():
 
 
 def test_criterion_13_matrix_kernel_smoke():
-    rep = sweep_alpha(gaussian_bump(2), matrix_diag([1.0, 2.0]), np.zeros(2))
+    rep = sweep_alpha(gaussian_bump(2),
+                      KernelSpec(MATRIX_TRANSFORMED, 2, 1.9, lambda_diag=(1.0, 2.0)),
+                      np.zeros(2))
     assert rep.reference == pytest.approx(10.0, rel=1e-12)
     assert rep.rel_error <= 0.05, rep.rel_error

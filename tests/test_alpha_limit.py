@@ -7,20 +7,36 @@ import pytest
 
 from jumpkernel.alpha_limit import (
     AlphaSweepReport,
-    anisotropic,
     anisotropic_constant,
     calibrate_omega_n,
-    exponential_scaled,
     gamma_prefactor,
     inner_ball_ratio,
-    matrix_diag,
     norm_equivalence_bracket,
     sweep_alpha,
 )
 from jumpkernel.errors import NonConvergenceError, ValidationError
 from jumpkernel.fields import analytic_field, gaussian_bump, grid_field
+from jumpkernel.kernels import (
+    ANISOTROPIC_P,
+    DIAG_QUADRATIC,
+    EXPONENTIAL,
+    MATRIX_TRANSFORMED,
+    KernelSpec,
+)
 from jumpkernel.quadrature import QuadratureConfig
 from jumpkernel.quadrules import sphere_surface
+
+
+# Sweep kernels: the sweep replaces alpha, so 1.9 only has to be admissible.
+def exponential(n):
+    return KernelSpec(EXPONENTIAL, n, 1.9)
+
+
+def anisotropic(p):
+    return KernelSpec(ANISOTROPIC_P, 2, 1.9, p_norm=p)
+
+
+DIAG12 = KernelSpec(MATRIX_TRANSFORMED, 2, 1.9, lambda_diag=(1.0, 2.0))
 
 
 def test_gamma_prefactor_values():
@@ -41,13 +57,13 @@ def test_omega_calibration_matches_sphere_surface(monkeypatch):
     assert calibrate_omega_n(2) == sphere_surface(2)
     # the sweep discriminates the surface 2 pi from the disk area pi: with
     # the area in the prefactor the limit would be twice -Laplacian = 4
-    rep = sweep_alpha(gaussian_bump(2), exponential_scaled(), np.zeros(2))
+    rep = sweep_alpha(gaussian_bump(2), exponential(2), np.zeros(2))
     assert abs(rep.extrapolated_limit * 2.0 * math.pi / math.pi - 4.0) > 0.5 * 4.0
     with pytest.raises(ValidationError):
         calibrate_omega_n(3)
 
     # a prefactor that misses the limit by 10% is reported, not returned
-    def off_by_ten_percent(u, family, x, *args, **kwargs):
+    def off_by_ten_percent(u, kernel, x, *args, **kwargs):
         return replace(rep, extrapolated_limit=1.1 * 4.0)
 
     monkeypatch.setattr(mod, "sweep_alpha", off_by_ten_percent)
@@ -94,7 +110,7 @@ def test_anisotropic_constant_inside_equivalence_bracket():
 
 def test_sweep_exponential_reaches_laplacian():
     for n in (1, 2):
-        rep = sweep_alpha(gaussian_bump(n), exponential_scaled(), np.zeros(n))
+        rep = sweep_alpha(gaussian_bump(n), exponential(n), np.zeros(n))
         assert rep.reference == pytest.approx(2.0 * n, rel=1e-12)
         assert rep.rel_error < 1e-4
         assert not rep.flagged
@@ -116,7 +132,7 @@ def test_sweep_anisotropic_p4():
 
 
 def test_sweep_matrix_diag_weights_second_derivatives():
-    rep = sweep_alpha(gaussian_bump(2), matrix_diag([1.0, 2.0]), np.zeros(2))
+    rep = sweep_alpha(gaussian_bump(2), DIAG12, np.zeros(2))
     # -(1 * u_11 + 4 * u_22)(0) = 2 + 8
     assert rep.reference == pytest.approx(10.0, rel=1e-12)
     assert rep.rel_error < 1e-4
@@ -129,7 +145,7 @@ def test_sweep_harmonic_direction_vanishes():
         return np.tanh(pts[..., 0])
 
     u = analytic_field(1, tanh1, sup_bound=1.0)
-    rep = sweep_alpha(u, exponential_scaled(), np.zeros(1))
+    rep = sweep_alpha(u, exponential(1), np.zeros(1))
     assert abs(rep.extrapolated_limit) < 1e-6
     assert rep.reference == pytest.approx(0.0, abs=1e-9)
     assert rep.rel_error is None
@@ -137,7 +153,7 @@ def test_sweep_harmonic_direction_vanishes():
 
 def test_sweep_off_center_point():
     x = np.array([0.4])
-    rep = sweep_alpha(gaussian_bump(1), exponential_scaled(), x)
+    rep = sweep_alpha(gaussian_bump(1), exponential(1), x)
     u = gaussian_bump(1)
     assert rep.reference == pytest.approx(-float(np.trace(u.hessian(x))), rel=1e-12)
     assert rep.rel_error < 1e-3
@@ -156,7 +172,7 @@ def test_sweep_flags_wide_alpha_ladders():
 
 def test_sweep_validation():
     u = gaussian_bump(1)
-    fam = exponential_scaled()
+    fam = exponential(1)
     with pytest.raises(ValidationError):
         sweep_alpha(u, fam, np.zeros(1), alpha_list=(1.95, 1.9))
     with pytest.raises(ValidationError):
@@ -166,13 +182,17 @@ def test_sweep_validation():
     g = grid_field(np.zeros((17,)), origin=[-1.0], h=0.125)
     with pytest.raises(ValidationError):
         sweep_alpha(g, fam, np.zeros(1))
+    # a kind without a second-order limit family is refused, not re-mapped
+    diag = KernelSpec(DIAG_QUADRATIC, 2, 1.9, lambda_diag=(1.0, 2.0))
+    with pytest.raises(ValidationError, match="kernel.kind: DiagQuadratic"):
+        sweep_alpha(gaussian_bump(2), diag, np.zeros(2))
 
 
 def test_report_validation():
     with pytest.raises(ValidationError):
         AlphaSweepReport(
             alpha_list=(1.9, 1.5), values=(1.0, 2.0), extrapolated_limit=2.0,
-            reference=2.0, rel_error=0.0, flagged=False, family=exponential_scaled(),
+            reference=2.0, rel_error=0.0, flagged=False, family="ExponentialScaled",
         )
 
 

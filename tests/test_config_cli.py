@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,20 @@ from jumpkernel.config import (
     TASK_EVAL_OPERATOR,
     TASK_SOLVE_BALL,
     TASK_SWEEP_ALPHA,
-    config_from_dict,
-    config_to_dict,
+    from_dict,
     load_config,
     save_config,
+    to_dict,
     with_overrides,
 )
 from jumpkernel.errors import ValidationError
 from jumpkernel.fields import load_grid_field
-from jumpkernel.kernels import EXPONENTIAL, POWER_LAW, KernelSpec
+from jumpkernel.kernels import (
+    DIAG_QUADRATIC,
+    EXPONENTIAL,
+    POWER_LAW,
+    KernelSpec,
+)
 from jumpkernel.nonlinearity import G_POWER, F_POWER, NonlinearitySpec
 from jumpkernel.quadrature import QuadratureConfig
 from jumpkernel.solver import DomainSpec
@@ -53,8 +59,10 @@ def test_config_round_trip_through_file(tmp_path):
     path = tmp_path / "probe.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
-    # and through the dict layer alone
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # and through the dict layer alone, as built and as JSON text
+    d = to_dict(cfg)
+    for form in (d, json.loads(json.dumps(d))):
+        assert from_dict(ExperimentConfig, form) == cfg
 
 
 def test_minimal_config_round_trip(tmp_path):
@@ -67,31 +75,49 @@ def test_minimal_config_round_trip(tmp_path):
     assert loaded.nonlinearity is None
 
 
+BALL = {"task": TASK_SOLVE_BALL,
+        "kernel": {"kind": POWER_LAW, "dim": 1, "alpha": 1.0},
+        "domain": {"dim": 1, "grid_n": 17}}
+
+# Broken sections of BALL and the message naming the key at fault.
+SECTION_KEY_ERRORS = [
+    ({"kernel": {"dim": 1, "alpha": 1.0}}, r"kernel\.kind: missing required key"),
+    ({"domain": {"grid_n": 17}}, r"domain\.dim: missing required key"),
+    ({"domain": {"dim": 1, "grid_n": "33"}}, r"domain\.grid_n: expected int, got str"),
+    ({"kernel": [1]}, r"kernel: must be a JSON object"),
+]
+
+
 def test_validation_messages_name_the_key(tmp_path):
-    base = config_to_dict(ExperimentConfig(task=TASK_EVAL_OPERATOR, kernel=PL1))
+    base = to_dict(ExperimentConfig(task=TASK_EVAL_OPERATOR, kernel=PL1))
 
     bad = json.loads(json.dumps(base))
     bad["kernel"]["alpha"] = 2.5
     with pytest.raises(ValidationError, match="kernel: .*alpha must lie in"):
-        config_from_dict(bad)
+        from_dict(ExperimentConfig, bad)
 
     bad = json.loads(json.dumps(base))
     bad["expect"] = {"no_such_check": True}
     with pytest.raises(ValidationError, match="expect: unknown key 'no_such_check'"):
-        config_from_dict(bad)
+        from_dict(ExperimentConfig, bad)
 
     bad = json.loads(json.dumps(base))
     bad["axis"] = 2
     with pytest.raises(ValidationError, match="axis"):
-        config_from_dict(bad)
+        from_dict(ExperimentConfig, bad)
 
     bad = json.loads(json.dumps(base))
     bad["mystery"] = 1
     with pytest.raises(ValidationError, match="unknown config keys.*mystery"):
-        config_from_dict(bad)
+        from_dict(ExperimentConfig, bad)
 
     with pytest.raises(ValidationError, match="task: missing"):
-        config_from_dict({"kernel": base["kernel"]})
+        from_dict(ExperimentConfig, {"kernel": base["kernel"]})
+
+    assert from_dict(ExperimentConfig, BALL).domain == DomainSpec(dim=1, grid_n=17)
+    for sections, message in SECTION_KEY_ERRORS:
+        with pytest.raises(ValidationError, match=message):
+            from_dict(ExperimentConfig, {**BALL, **sections})
 
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -234,6 +260,10 @@ def test_cli_exit_1_names_offending_key(tmp_path, capsys):
     assert main(["--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "alpha must lie in (0,2)" in err
+    for sections, message in SECTION_KEY_ERRORS:
+        path.write_text(json.dumps({**BALL, **sections}))
+        assert main(["--config", str(path)]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
 
 def test_cli_seed_and_task_overrides(tmp_path):
@@ -302,3 +332,36 @@ def test_sweep_alpha_task_artifacts(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["expect_met"] is True
     assert manifest["summary"]["rel_error"] < 0.02
+
+
+def test_sweep_alpha_rejects_a_kernel_without_a_limit(tmp_path, capsys):
+    # DiagQuadratic has no alpha -> 2 family; it must not be swept as a
+    # MatrixTransformed kernel with the same diagonal
+    cfg = ExperimentConfig(
+        task=TASK_SWEEP_ALPHA,
+        kernel=KernelSpec(kind=DIAG_QUADRATIC, dim=2, alpha=1.9, lambda_diag=(1.0, 2.0)),
+    )
+    with pytest.raises(ValidationError, match="kernel.kind: DiagQuadratic"):
+        run(cfg, tmp_path / "run")
+    path = tmp_path / "diag.json"
+    save_config(cfg, path)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--output", str(out)]) == 1
+    assert "kernel.kind" in capsys.readouterr().err
+    assert not (out / "alpha_sweep.csv").exists()
+
+
+def test_suite_reports_a_keyless_section_as_one_fail_row(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    save_config(ExperimentConfig(task=TASK_CHECK_KERNEL, kernel=PL1, label="good"),
+                suite / "a_good.json")
+    (suite / "b_keyless.json").write_text(json.dumps(
+        {"task": TASK_CHECK_KERNEL, "kernel": {"dim": 1, "alpha": 1.0}}))
+    assert verify_suite(suite, tmp_path / "out") == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    fails = [ln for ln in lines if "FAIL" in ln]
+    assert len(fails) == 1
+    assert "b_keyless" in fails[0] and "kernel.kind: missing required key" in fails[0]
+    assert any("good" in ln and "PASS" in ln for ln in lines)
+    assert lines[-1] == "1/2 passed"

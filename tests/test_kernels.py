@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from jumpkernel.config import from_dict, to_dict
 from jumpkernel.errors import DomainError, ValidationError
 from jumpkernel.kernels import (
     ANISOTROPIC_P,
@@ -23,8 +25,6 @@ from jumpkernel.kernels import (
     check_monotone_K2,
     eval_kernel,
     halfspace_mass,
-    kernel_from_dict,
-    kernel_to_dict,
     outer_mass,
     radial_profile,
     reflect_point,
@@ -327,7 +327,10 @@ def test_condition_report_rejects_witness_on_success():
 
 def test_serialization_round_trip():
     for spec in ZOO:
-        d = kernel_to_dict(spec)
-        assert kernel_from_dict(d) == spec
-    with pytest.raises(ValidationError):
-        kernel_from_dict({"kind": POWER_LAW, "dim": 1, "alpha": 1.0, "rate": 3.0})
+        d = to_dict(spec)
+        # as built, and as read back from JSON text (lists, not tuples)
+        for form in (d, json.loads(json.dumps(d))):
+            assert from_dict(KernelSpec, form, "kernel") == spec
+    with pytest.raises(ValidationError, match="unknown kernel keys.*rate"):
+        from_dict(KernelSpec, {"kind": POWER_LAW, "dim": 1, "alpha": 1.0, "rate": 3.0},
+                  "kernel")

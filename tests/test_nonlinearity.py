@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumpkernel.config import from_dict, to_dict
 from jumpkernel.errors import ValidationError
 from jumpkernel.nonlinearity import (
     F_AFFINE_PLUS_POWER,
@@ -25,8 +27,6 @@ from jumpkernel.nonlinearity import (
     eval_G_prime,
     f_lipschitz_bound,
     mvt_min_ratio,
-    nonlinearity_from_dict,
-    nonlinearity_to_dict,
     regime_flags,
 )
 
@@ -226,6 +226,10 @@ def test_serialization_round_trip():
         ),
     ]
     for spec in specs:
-        assert nonlinearity_from_dict(nonlinearity_to_dict(spec)) == spec
-    with pytest.raises(ValidationError):
-        nonlinearity_from_dict({"g_kind": G_POWER, "gamma": 1.0, "rate": 2.0})
+        d = to_dict(spec)
+        # as built, and as read back from JSON text (lists, not tuples)
+        for form in (d, json.loads(json.dumps(d))):
+            assert from_dict(NonlinearitySpec, form, "nonlinearity") == spec
+    with pytest.raises(ValidationError, match="unknown nonlinearity keys.*rate"):
+        from_dict(NonlinearitySpec, {"g_kind": G_POWER, "gamma": 1.0, "rate": 2.0},
+                  "nonlinearity")
