@@ -291,6 +291,11 @@ def decay_at_infinity_bound(
     return list(zip(radii, masses, bounds))
 
 
+# Array elements of the deficit block w[k, j, ...] that one pass of the plane
+# scan forms; it bounds the scan's transient memory.
+_SCAN_BLOCK = 2 ** 16
+
+
 def _scan_axis(u: Field, axis: int):
     """Slab minima of the deficit for every half-grid plane along one axis.
 
@@ -298,42 +303,52 @@ def _scan_axis(u: Field, axis: int):
     lattice data continues into it continuously; for fields that jump at
     their own box face, such pairs would measure the truncation rather than
     the field, so they are dropped from the minimum.
+
+    Plane k (at origin + k h/2) pairs slab node j <= (k-1)//2 with its mirror
+    k - j.  A block of planes is one array w[k, j, ...] over all j < n-1,
+    with the pairs outside each slab read as +inf; with j moved back to the
+    scanned axis, the first minimum of each plane's row is the first
+    minimizer in lexicographic node order.
     """
     g = u.grid
     ax = axis - 1
     n = g.shape[ax]
     h = g.h
     o = float(g.origin[ax])
-    vals = g.values
+    vals = np.moveaxis(g.values, ax, 0)
     ext = float(u.exterior_value)
     continuous = u.boundary_jump() <= 1e-9 * max(1.0, u.sup_bound)
     big = float(np.max(np.abs(vals))) + abs(ext) + 1.0
-    lambdas, mins, argmins = [], [], []
-    for k in range(1, 2 * (n - 1)):
-        lam = o + 0.5 * h * k
-        jmax = (k - 1) // 2
-        idx = np.arange(jmax + 1)
-        mirror = k - idx
-        valid = mirror <= n - 1
-        slab = np.take(vals, idx, axis=ax)
-        refl = np.take(vals, np.minimum(mirror, n - 1), axis=ax)
-        shape = [1] * vals.ndim
-        shape[ax] = idx.size
-        mask = valid.reshape(shape)
+    ks = np.arange(1, 2 * (n - 1))
+    j = np.arange(n - 1)
+    slab = vals[: n - 1]
+    extra = (1,) * (vals.ndim - 1)
+    mins = np.empty(ks.size)
+    flat = np.empty(ks.size, dtype=np.intp)
+    step = max(1, _SCAN_BLOCK // slab.size)
+    for start in range(0, ks.size, step):
+        kb = ks[start:start + step, None]
+        mirror = kb - j
+        valid = (mirror <= n - 1).reshape(mirror.shape + extra)
+        in_slab = (j <= (kb - 1) // 2).reshape(mirror.shape + extra)
+        refl = vals[np.clip(mirror, 0, n - 1)]
         if continuous:
-            w = np.where(mask, refl, ext) - slab
+            w = np.where(valid, refl, ext) - slab
         else:
             # drop truncated pairs by pushing them above any real minimum
-            w = np.where(mask, refl - slab, big)
-        flat = int(np.argmin(w))
-        midx = list(np.unravel_index(flat, w.shape))
-        point = tuple(
-            float(g.origin[d] + h * midx[d]) for d in range(u.dim)
-        )
-        lambdas.append(lam)
-        mins.append(float(w.reshape(-1)[flat]))
-        argmins.append(point)
-    return lambdas, mins, argmins
+            w = np.where(valid, refl - slab, big)
+        w = np.where(in_slab, w, np.inf)
+        w = np.moveaxis(w, 1, 1 + ax).reshape(len(kb), -1)
+        first = np.argmin(w, axis=1)
+        flat[start:start + step] = first
+        mins[start:start + step] = w[np.arange(len(kb)), first]
+    row_shape = list(g.shape)
+    row_shape[ax] = n - 1
+    midx = np.unravel_index(flat, row_shape)
+    coords = [g.origin[d] + h * midx[d] for d in range(u.dim)]
+    lambdas = [o + 0.5 * h * k for k in ks.tolist()]
+    argmins = list(zip(*(c.tolist() for c in coords)))
+    return lambdas, mins.tolist(), argmins
 
 
 def _lambda_o(lambdas, mins, tolerance, left_face):

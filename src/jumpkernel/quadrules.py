@@ -128,9 +128,13 @@ def _leggauss(order: int):
 def tensor_gauss_cell(f, lo, hi, order: int = 10):
     """Fixed tensor Gauss–Legendre integral over an axis-aligned cell.
 
-    ``f`` maps an (m, n) array of points to (m,) values.  Returns the
+    ``f`` maps an (m, n) array of points to values of shape (..., m): one
+    integrand, or a batch of integrands sharing the nodes.  Returns the
     integral plus a crude error estimate from comparing with the order//2
-    embedded rule on the same cell.
+    embedded rule on the same cell, as two floats for a single integrand
+    and as two (...)-shaped arrays for a batch.  Each integral is one
+    ``np.dot`` of the weights with that integrand's row, so every row of a
+    batch is bit-identical to integrating it alone.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -147,11 +151,16 @@ def tensor_gauss_cell(f, lo, hi, order: int = 10):
         for g in wgrid:
             wprod = wprod * g.ravel()
         vals = np.asarray(f(pts), dtype=float)
-        return float(np.dot(wprod, vals))
+        rows = vals.reshape(-1, vals.shape[-1])
+        out = np.array([np.dot(wprod, row) for row in rows])
+        return out.reshape(vals.shape[:-1])
 
     coarse = run(max(2, order // 2))
     fine = run(order)
-    return fine, abs(fine - coarse)
+    err = np.abs(fine - coarse)
+    if fine.ndim == 0:
+        return float(fine), float(err)
+    return fine, err
 
 
 def sphere_surface(n: int) -> float:

@@ -15,12 +15,14 @@ to moderate alpha.  The agreed-upon closed forms in test_quadrature pin the
 oracle itself before it is trusted as a referee.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.special import gamma
 
 from jumpkernel.kernels import eval_kernel
+from jumpkernel.quadrules import tensor_gauss_cell
 
 
 def _sphere_grid(dim, m_theta):
@@ -100,6 +102,71 @@ def dense_plane_sweep(values, origin, h, exterior=0.0):
         lams.append(lam)
         mins.append(worst)
     return np.array(lams), np.array(mins)
+
+
+def far_offset_value(domain, spec, offset):
+    """Referee for one far stencil entry, one offset at a time:
+    a(d) = -∫ hat(y) K(d*h - y) dy over the hat's 2^dim cells, each cell by
+    a scalar ``tensor_gauss_cell`` call, order 12 within four cells and 8
+    beyond.  Returns (entry, error estimate)."""
+    h = domain.h
+    d = np.asarray(offset, dtype=float) * h
+
+    def integrand(pts):
+        w = np.prod(1.0 - np.abs(pts) / h, axis=-1)
+        return w * eval_kernel(spec, d[None, :] - pts)
+
+    order = 12 if max(abs(int(o)) for o in offset) <= 4 else 8
+    total = 0.0
+    err = 0.0
+    for signs in itertools.product((-1.0, 1.0), repeat=domain.dim):
+        lo = np.minimum(0.0, np.array(signs) * h)
+        hi = np.maximum(0.0, np.array(signs) * h)
+        v, e = tensor_gauss_cell(integrand, lo, hi, order=order)
+        total += v
+        err += e
+    return -total, err
+
+
+def scan_axis_per_plane(u, axis):
+    """Referee for the plane scan, one plane position at a time: for every
+    half-grid plane along ``axis`` the slab minimum of the deficit, its first
+    minimizer in lexicographic node order, and the plane position, as the
+    lists (lambdas, mins, argmins).  Pairs whose mirror lies past the far
+    face read the exterior value when the field continues into it
+    continuously and are dropped otherwise."""
+    g = u.grid
+    ax = axis - 1
+    n = g.shape[ax]
+    h = g.h
+    o = float(g.origin[ax])
+    vals = g.values
+    ext = float(u.exterior_value)
+    continuous = u.boundary_jump() <= 1e-9 * max(1.0, u.sup_bound)
+    big = float(np.max(np.abs(vals))) + abs(ext) + 1.0
+    lambdas, mins, argmins = [], [], []
+    for k in range(1, 2 * (n - 1)):
+        lam = o + 0.5 * h * k
+        jmax = (k - 1) // 2
+        idx = np.arange(jmax + 1)
+        mirror = k - idx
+        valid = mirror <= n - 1
+        slab = np.take(vals, idx, axis=ax)
+        refl = np.take(vals, np.minimum(mirror, n - 1), axis=ax)
+        shape = [1] * vals.ndim
+        shape[ax] = idx.size
+        mask = valid.reshape(shape)
+        if continuous:
+            w = np.where(mask, refl, ext) - slab
+        else:
+            w = np.where(mask, refl - slab, big)
+        flat = int(np.argmin(w))
+        midx = list(np.unravel_index(flat, w.shape))
+        point = tuple(float(g.origin[d] + h * midx[d]) for d in range(u.dim))
+        lambdas.append(lam)
+        mins.append(float(w.reshape(-1)[flat]))
+        argmins.append(point)
+    return lambdas, mins, argmins
 
 
 def torsion_ball(x, alpha):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from jumpkernel import moving_planes
 from jumpkernel.errors import ValidationError
 from jumpkernel.fields import gaussian_bump, grid_field, linear_combination, sample_to_grid
 from jumpkernel.kernels import EXPONENTIAL, POWER_LAW, KernelSpec
@@ -120,6 +121,39 @@ def test_sweep_against_dense_oracle():
     np.testing.assert_allclose(
         np.asarray(rep.min_w)[inside], mins[inside], atol=1e-13
     )
+
+
+def _scan_referee_fields():
+    rng = np.random.default_rng(20)
+    fields = [
+        # integer values: many exact ties among the slab minima
+        grid_field(rng.integers(-2, 3, 33).astype(float), [-1.0], 0.0625),
+        grid_field(rng.integers(0, 2, (17, 23)).astype(float), [-1.0, -1.5], 0.125),
+        grid_field(rng.integers(-1, 2, (19, 19)).astype(float), [-1.0, -1.0], 0.125,
+                   exterior_value=1.0),
+        # a rising step: the first slab minima exceed the whole field's range
+        grid_field(np.repeat([-3.0, 3.0], [8, 9]), [-1.0], 0.125),
+    ]
+    for shape, h in (((41,), 0.0625), ((25, 25), 0.125), ((17, 29), 0.125)):
+        axes = [-(n - 1) / 2 * h + h * np.arange(n) for n in shape]
+        r2 = sum(x * x for x in np.meshgrid(*axes, indexing="ij"))
+        # symmetric (1 - |x|^2)_+^(1/2), continuous at the box face ...
+        sym = np.sqrt(np.maximum(1.0 - r2, 0.0))
+        origin = [a[0] for a in axes]
+        fields.append(grid_field(sym, origin, h))
+        # ... shifted by 0.3: a jump at the face against exterior 0, and
+        # continuous again against exterior 0.3
+        fields.append(grid_field(sym + 0.3, origin, h))
+        fields.append(grid_field(sym + 0.3, origin, h, exterior_value=0.3))
+    return fields
+
+
+def test_blocked_scan_matches_the_per_plane_referee(monkeypatch):
+    fields = _scan_referee_fields()
+    batched = [repr(sweep_lambda(u, axis)) for u in fields for axis in range(1, u.dim + 1)]
+    monkeypatch.setattr(moving_planes, "_scan_axis", oracles.scan_axis_per_plane)
+    referee = [repr(sweep_lambda(u, axis)) for u in fields for axis in range(1, u.dim + 1)]
+    assert batched == referee
 
 
 def test_2d_sweep_axes_are_independent():

@@ -30,6 +30,7 @@ from jumpkernel.quadrature import (
     laplacian,
     tail_bound,
 )
+from jumpkernel.quadrules import tensor_gauss_cell
 
 # L_K of the unit Gaussian at its peak, K = (2-a)|y|^(-n-a):
 #   (2-a) sigma_{n-1} Gamma(1-a/2) / a
@@ -233,3 +234,25 @@ def test_err_and_tail_fields_nonnegative_across_random_cases():
         assert res.err_estimate >= 0.0
         assert res.tail_bound >= 0.0
         assert abs(res.inner_contribution) < abs(res.value) + res.err_estimate + res.tail_bound + 1.0
+
+
+@pytest.mark.parametrize("lo,hi", [([-0.3], [0.2]), ([0.0, -0.125], [0.125, 0.0])])
+@pytest.mark.parametrize("order", [4, 8, 12])
+def test_tensor_gauss_cell_batch_rows_equal_scalar_calls(lo, hi, order):
+    # a (2, 3) batch of integrands sharing the nodes: every row is the
+    # scalar integral of that row's integrand, bit for bit
+    shifts = np.array([[0.5, 1.25, 3.0], [-2.0, 7.5, 0.1]])
+
+    def one(pts, s):
+        r2 = np.sum((pts - s) ** 2, axis=-1)
+        return np.exp(-r2) * (1.0 + r2) ** -0.75
+
+    def batch(pts):
+        return np.stack([np.stack([one(pts, s) for s in row]) for row in shifts])
+
+    values, errs = tensor_gauss_cell(batch, lo, hi, order=order)
+    assert values.shape == errs.shape == shifts.shape
+    for idx in np.ndindex(shifts.shape):
+        v, e = tensor_gauss_cell(lambda pts: one(pts, shifts[idx]), lo, hi, order=order)
+        assert type(v) is float and type(e) is float
+        assert values[idx] == v and errs[idx] == e

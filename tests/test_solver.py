@@ -2,8 +2,17 @@ import numpy as np
 import oracles
 import pytest
 
+from jumpkernel import solver
 from jumpkernel.errors import NonConvergenceError, ValidationError
-from jumpkernel.kernels import POWER_LAW, KernelSpec
+from jumpkernel.kernels import (
+    ANISOTROPIC_P,
+    DIAG_QUADRATIC,
+    EXPONENTIAL,
+    MATRIX_TRANSFORMED,
+    POWER_LAW,
+    VARIABLE_ORDER,
+    KernelSpec,
+)
 from jumpkernel.nonlinearity import (
     F_AFFINE_PLUS_POWER,
     F_CONSTANT,
@@ -15,7 +24,6 @@ from jumpkernel.nonlinearity import (
 from jumpkernel.quadrature import eval_LK
 from jumpkernel.solver import (
     DomainSpec,
-    _far_offset_value,
     _near_offset_value,
     assemble_LK_matrix,
     hat_field,
@@ -116,10 +124,42 @@ def test_assembly_entries_are_the_offset_stencil():
                 value, _ = _near_offset_value(dom, spec, op.cfg, off)
                 near += 1
             else:
-                value, _ = _far_offset_value(dom, spec, off)
+                value, _ = oracles.far_offset_value(dom, spec, off)
                 far += 1
             assert op.A[i, j] == value
     assert near > 0 and far > 0
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec(POWER_LAW, 1, 0.5, c_lower=2.0),
+    KernelSpec(POWER_LAW, 2, 1.9),
+    KernelSpec(EXPONENTIAL, 1, 1.5),
+    KernelSpec(EXPONENTIAL, 2, 1.5),
+    KernelSpec(ANISOTROPIC_P, 1, 1.0, p_norm=4.0),
+    KernelSpec(ANISOTROPIC_P, 2, 1.0, p_norm=4.0),
+    KernelSpec(ANISOTROPIC_P, 2, 0.7, p_norm=1.0),
+    KernelSpec(MATRIX_TRANSFORMED, 1, 1.2, lambda_diag=(2.0,)),
+    KernelSpec(MATRIX_TRANSFORMED, 2, 1.2, lambda_diag=(1.0, 2.0)),
+    KernelSpec(DIAG_QUADRATIC, 1, 0.9, lambda_diag=(3.0,)),
+    KernelSpec(DIAG_QUADRATIC, 2, 0.9, lambda_diag=(0.5, 3.0)),
+    KernelSpec(VARIABLE_ORDER, 1, 0.8, beta_order=1.3),
+    KernelSpec(VARIABLE_ORDER, 2, 0.8, beta_order=1.3),
+], ids=lambda s: f"{s.kind}-{s.dim}d")
+def test_far_entries_equal_the_per_offset_referee(spec, monkeypatch):
+    # the batched far stencil is bit-identical to integrating one offset at
+    # a time, in A and in entry_err, on both sides of the order-12/order-8
+    # switch; near entries are not under test, so they are stubbed out
+    monkeypatch.setattr(solver, "_near_offset_value", lambda *a: (0.0, 0.0))
+    dom = DomainSpec(dim=spec.dim, radius=1.0, grid_n=17)
+    op = assemble_LK_matrix(spec, dom)
+    offs = np.abs(op.indices[:, None, :] - op.indices[None, :, :])
+    far = np.unique(offs.reshape(-1, dom.dim), axis=0)
+    far = far[np.max(far, axis=1) > 2]
+    assert {4, 5} <= set(np.max(far, axis=1).tolist())
+    for off in far:
+        value, err = oracles.far_offset_value(dom, spec, off)
+        assert np.all(op.A[np.all(offs == off, axis=-1)] == value)
+        assert op.entry_err[tuple(off)] == err
 
 
 def test_assembly_annihilates_constants():
