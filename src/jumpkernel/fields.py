@@ -63,38 +63,54 @@ class Field:
         return self.value_fn(pts)
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.gradient_fn is not None:
-            return np.asarray(self.gradient_fn(x), dtype=float)
-        h = self.grid.h if self.grid is not None else _FD_STEP
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
-        return g
+        return self.jets(np.asarray(x, dtype=float)[None], hess=False)[1][0]
 
     def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.hessian_fn is not None:
-            return np.asarray(self.hessian_fn(x), dtype=float)
-        h = self.grid.h if self.grid is not None else _FD_STEP
-        H = np.empty((self.dim, self.dim))
-        u0 = float(self.value(x))
-        for i in range(self.dim):
-            ei = np.zeros(self.dim)
-            ei[i] = h
-            H[i, i] = (self.value(x + ei) - 2.0 * u0 + self.value(x - ei)) / h ** 2
-            for j in range(i + 1, self.dim):
-                ej = np.zeros(self.dim)
-                ej[j] = h
-                H[i, j] = H[j, i] = (
-                    self.value(x + ei + ej)
-                    - self.value(x + ei - ej)
-                    - self.value(x - ei + ej)
-                    + self.value(x - ei - ej)
-                ) / (4.0 * h ** 2)
-        return H
+        return self.jets(np.asarray(x, dtype=float)[None], grad=False)[2][0]
+
+    def jets(self, X, grad=True, hess=True):
+        """Value, gradient and Hessian at each row of ``X`` (shape (P, dim)).
+
+        Returns ``(u0, g, H)`` of shapes (P,), (P, dim) and (P, dim, dim);
+        ``g`` and ``H`` are None when not asked for.  Attached derivative
+        callables are used point by point; otherwise second-order central
+        differences of step h (the grid spacing, else ``_FD_STEP``) are
+        formed from one ``value`` call over every point's stencil.
+        """
+        X = np.asarray(X, dtype=float)
+        n = self.dim
+        fd_grad = grad and self.gradient_fn is None
+        fd_hess = hess and self.hessian_fn is None
+        pts, k = X, 1
+        if fd_grad or fd_hess:
+            h = self.grid.h if self.grid is not None else _FD_STEP
+            E = h * np.eye(n)
+            offs = [np.zeros(n)]
+            for i in range(n):
+                offs += [E[i], -E[i]]
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if fd_hess else []
+            for i, j in pairs:
+                offs += [E[i] + E[j], E[i] - E[j], -E[i] + E[j], -E[i] - E[j]]
+            pts, k = (X[:, None, :] + np.array(offs)[None]).reshape(-1, n), len(offs)
+        v = np.asarray(self.value(pts), dtype=float).reshape(len(X), k)
+        u0 = v[:, 0]
+        g = H = None
+        if grad and not fd_grad:
+            g = np.array([self.gradient_fn(x) for x in X], dtype=float).reshape(-1, n)
+        elif grad:
+            g = np.empty((len(X), n))
+            for i in range(n):
+                g[:, i] = (v[:, 1 + 2 * i] - v[:, 2 + 2 * i]) / (2.0 * h)
+        if hess and not fd_hess:
+            H = np.array([self.hessian_fn(x) for x in X], dtype=float).reshape(-1, n, n)
+        elif hess:
+            H = np.empty((len(X), n, n))
+            for i in range(n):
+                H[:, i, i] = (v[:, 1 + 2 * i] - 2.0 * u0 + v[:, 2 + 2 * i]) / h ** 2
+            for p, (i, j) in enumerate(pairs):
+                pp, pm, mp, mm = (v[:, 1 + 2 * n + 4 * p + q] for q in range(4))
+                H[:, i, j] = H[:, j, i] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+        return u0, g, H
 
     # -- grid geometry helpers -------------------------------------------------
 

@@ -149,30 +149,29 @@ def radial_profile(spec: KernelSpec, r, theta):
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n, a = spec.dim, spec.alpha
+    shape = np.broadcast(r, theta[..., 0]).shape
     if spec.kind == POWER_LAW:
-        out = (2.0 - a) * spec.c_lower * np.ones(np.broadcast_shapes(r.shape, theta.shape[:-1]))
-        return out
+        return np.full(shape, (2.0 - a) * spec.c_lower)
     if spec.kind == EXPONENTIAL:
         s = np.exp(-(r ** 2)) / _gamma((2.0 - a) / 2.0)
-        return np.broadcast_to(s, np.broadcast_shapes(r.shape, theta.shape[:-1])).copy()
+        return np.broadcast_to(s, shape).copy()
     if spec.kind == ANISOTROPIC_P:
         pn = np.sum(np.abs(theta) ** spec.p_norm, axis=-1) ** (1.0 / spec.p_norm)
         out = (2.0 - a) * pn ** (-(n + a))
-        return np.broadcast_to(out, np.broadcast_shapes(r.shape, theta.shape[:-1])).copy()
+        return np.broadcast_to(out, shape).copy()
     if spec.kind == MATRIX_TRANSFORMED:
         lam = np.asarray(spec.lambda_diag)
         det = float(np.prod(lam))
         tnorm = _l2(theta / lam)
         out = (2.0 - a) / det * tnorm ** (-(n + a))
-        return np.broadcast_to(out, np.broadcast_shapes(r.shape, theta.shape[:-1])).copy()
+        return np.broadcast_to(out, shape).copy()
     if spec.kind == DIAG_QUADRATIC:
         lam = np.asarray(spec.lambda_diag)
         q = np.sum(lam * theta * theta, axis=-1)
         out = (2.0 - a) * q
-        return np.broadcast_to(out, np.broadcast_shapes(r.shape, theta.shape[:-1])).copy()
+        return np.broadcast_to(out, shape).copy()
     if spec.kind == VARIABLE_ORDER:
         b = spec.beta_order
-        shape = np.broadcast_shapes(r.shape, theta.shape[:-1])
         rr = np.broadcast_to(r, shape)
         out = np.where(rr <= 1.0, 1.0, rr ** (b - a))
         return out.astype(float)

@@ -31,12 +31,21 @@ the local quadratic model built from second differences of the samples
 (the natural C^{1,1} surrogate, and the reason eps_inner must be >= 2h,
 the smallest radius that covers the second-difference stencil; the 4h of
 ``default_config`` is only its choice, and the solver's assembly uses 2h).
+
+The engine works over a point set.  ``eval_LK``/``eval_FGK`` accept one
+point of shape (dim,), which returns an ``EvalResult`` and raises
+``NonConvergenceError`` when refinement hits ``max_depth``, or a set of
+shape (P, dim), which returns an ``EvalBatch`` of per-point arrays with a
+``converged`` flag instead of raising.  All points share one sphere rule
+per level, and each adaptive wave integrates the panels of every point that
+is still refining in one integrand call; a single point is a batch of one
+and reproduces the one-point arithmetic exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,11 +95,35 @@ class EvalResult:
     err_estimate: float
     tail_bound: float
     inner_contribution: float
+    # radial integrand nodes the adaptive drives evaluated (a work counter)
+    neval: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if not self.err_estimate >= 0.0:
             raise ValidationError("err_estimate must be nonnegative")
         if not self.tail_bound >= 0.0:
+            raise ValidationError("tail_bound must be nonnegative")
+
+
+@dataclass(frozen=True)
+class EvalBatch:
+    """Per-point results of one evaluation over a point set: (P,) arrays.
+
+    ``converged`` is False where adaptive refinement hit ``max_depth``; the
+    value and error estimate there are the unconverged ones.
+    """
+
+    value: np.ndarray
+    err_estimate: np.ndarray
+    tail_bound: np.ndarray
+    inner_contribution: np.ndarray
+    converged: np.ndarray
+    neval: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if not np.all(self.err_estimate >= 0.0):
+            raise ValidationError("err_estimate must be nonnegative")
+        if not np.all(self.tail_bound >= 0.0):
             raise ValidationError("tail_bound must be nonnegative")
 
 
@@ -137,11 +170,42 @@ def _phi(t, gamma):
     return np.abs(t) ** gamma * t
 
 
+# Elements (radial nodes x sphere directions) per integrand call: a wave of
+# many 2-D points is cut, at owner boundaries, into calls of about this size.
+_WAVE_BLOCK = 1 << 14
+
+
+def _blocked(f, k):
+    """The integrand ``f(t, owner)`` with large waves cut, at owner
+    boundaries, into calls of about ``_WAVE_BLOCK`` elements (nodes times
+    ``k`` sphere directions); one owner's nodes are never split."""
+    cap = max(1, _WAVE_BLOCK // k)
+
+    def g(t, own):
+        if t.size <= cap:
+            return f(t, own)
+        starts = np.flatnonzero(np.diff(own)) + 1
+        cuts = starts[np.diff(starts // cap, prepend=0) > 0]
+        return np.concatenate(
+            [f(tb, ob) for tb, ob in zip(np.split(t, cuts), np.split(own, cuts))]
+        )
+
+    return g
+
+
 def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
-    """gamma=None evaluates L_K; gamma=g evaluates F with G(t)=|t|^g t."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != spec.dim or u.dim != spec.dim:
+    """gamma=None evaluates L_K; gamma=g evaluates F with G(t)=|t|^g t.
+
+    ``x`` of shape (dim,) gives an EvalResult and raises on non-convergence;
+    ``x`` of shape (P, dim) gives an EvalBatch and never raises on it.
+    """
+    X = np.asarray(x, dtype=float)
+    single = X.ndim <= 1
+    if single:
+        X = X.reshape(1, -1)
+    if X.ndim != 2 or X.shape[1] != spec.dim or u.dim != spec.dim:
         raise ValidationError("field, kernel and point dimensions must agree")
+    P = len(X)
     eps, R = cfg.eps_inner, cfg.r_outer
     grid_like = u.grid is not None
     if grid_like:
@@ -149,7 +213,10 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
         # that is only meaningful when the exterior constant continues the
         # nodal data continuously (true for hats and Dirichlet solutions).
         jump = u.boundary_jump()
-        if u.boundary_distance(x) < eps and jump > 1e-9 * max(1.0, u.sup_bound):
+        bdist = np.minimum(
+            (X - u.grid.origin).min(axis=1), (u.grid.box_max - X).min(axis=1)
+        )
+        if np.any(bdist < eps) and jump > 1e-9 * max(1.0, u.sup_bound):
             raise DomainError(
                 "evaluation point closer than eps_inner to the grid boundary"
             )
@@ -166,112 +233,132 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
             f"with margin {_GAMMA_MARGIN} (gamma={gamma}, alpha={spec.alpha})"
         )
 
-    u0 = float(u.value(x))
-    grad = u.gradient(x) if gamma is not None else None
-    hess = u.hessian(x)
+    u0, grad, hess = u.jets(X, grad=gamma is not None)
     rho_exp = (2.0 - al) if gamma is None else (2.0 + gamma - al)
     r_switch = min(1e-4, 0.25 * eps)
     abs_floor = 1e-3 * cfg.rel_tol * max(1.0, u.sup_bound)
-    breaks = _feature_radii(u, spec, x, eps, R)
 
-    def paired_values(r, theta):
-        """u at x ± r theta — shape (m_r, m_theta) each."""
-        pts = x[None, None, :] + r[:, None, None] * theta[None, :, :]
-        mir = x[None, None, :] - r[:, None, None] * theta[None, :, :]
-        m, k = r.size, theta.shape[0]
-        up = np.asarray(u.value(pts.reshape(-1, x.size))).reshape(m, k)
-        um = np.asarray(u.value(mir.reshape(-1, x.size))).reshape(m, k)
-        return up, um
-
-    def curvature_quotient(r, theta, hq, ga):
-        """(paired difference) / r^rho_exp, bounded down to r = 0.
-
-        Grid fields always use the quadratic model; analytic fields switch
-        to it only below r_switch, where the direct difference would lose
-        all significance.
-        """
-        m, k = r.size, theta.shape[0]
-        out = np.empty((m, k))
-        small = (r < r_switch) | grid_like
-        if np.any(small):
-            if gamma is None:
-                out[small, :] = -hq[None, :]
-            else:
-                # Exact paired difference of the quadratic model; stable for
-                # all r > 0 (underflow regions are far below any quadrature
-                # node), and continuous — an asymptotic shortcut here would
-                # leave a jump the adaptive driver can never integrate past.
-                rs = np.maximum(r[small], 1e-30)
-                a = rs[:, None] * ga[None, :]
-                b = 0.5 * rs[:, None] ** 2 * hq[None, :]
-                out[small, :] = -(
-                    _phi(a + b, gamma) - _phi(a - b, gamma)
-                ) / rs[:, None] ** (2.0 + gamma)
-        big = ~small
-        if np.any(big):
-            rb = r[big]
-            up, um = paired_values(rb, theta)
-            if gamma is None:
-                out[big, :] = (2.0 * u0 - up - um) / rb[:, None] ** 2
-            else:
-                p = _phi(u0 - up, gamma) + _phi(u0 - um, gamma)
-                out[big, :] = p / rb[:, None] ** (2.0 + gamma)
-        return out
-
-    def run_level(level):
+    def run_level(level, idx):
+        """Inner and shell integrals at the points ``X[idx]`` on one sphere
+        rule; the drivers' owner k is the point ``idx[k]``."""
         theta, w = sphere_rule(spec.dim, level, half=True)
         wh = 0.5 * w  # ... so that sum(wh * even integrand) = ½ ∫_S dσ
-        hq = np.einsum("ki,ij,kj->k", theta, hess, theta)
-        ga = theta @ grad if gamma is not None else None
+        xs, u0s = (X, u0) if idx.size == P else (X[idx], u0[idx])
+        pts_idx = idx.tolist()
+        hq = np.array([np.einsum("ki,ij,kj->k", theta, hess[i], theta) for i in pts_idx])
+        ga = np.array([theta @ grad[i] for i in pts_idx]) if gamma is not None else None
+        k = theta.shape[0]
 
-        def f_inner(rho):
+        def at(a, own, sel=slice(None)):
+            """Per-point data ``a`` for the nodes ``sel`` of a wave with
+            owners ``own`` (a batch of one broadcasts)."""
+            return a if len(a) == 1 else a[own[sel]]
+
+        def paired_values(r, own, sel=slice(None)):
+            """u at x ± r theta — shape (m_r, m_theta) each."""
+            xo = at(xs, own, sel)[:, None, :]
+            step = r[:, None, None] * theta[None, :, :]
+            up = np.asarray(u.value((xo + step).reshape(-1, spec.dim))).reshape(r.size, k)
+            um = np.asarray(u.value((xo - step).reshape(-1, spec.dim))).reshape(r.size, k)
+            return up, um
+
+        def curvature_quotient(r, own):
+            """(paired difference) / r^rho_exp, bounded down to r = 0.
+
+            Grid fields always use the quadratic model; analytic fields
+            switch to it only below r_switch, where the direct difference
+            would lose all significance.
+            """
+            out = np.empty((r.size, k))
+            small = (r < r_switch) | grid_like
+            if np.any(small):
+                if gamma is None:
+                    out[small, :] = -at(hq, own, small)
+                else:
+                    # Exact paired difference of the quadratic model; stable
+                    # for all r > 0 (underflow regions are far below any
+                    # quadrature node), and continuous — an asymptotic
+                    # shortcut here would leave a jump the adaptive driver
+                    # can never integrate past.
+                    rs = np.maximum(r[small], 1e-30)
+                    a = rs[:, None] * at(ga, own, small)
+                    b = 0.5 * rs[:, None] ** 2 * at(hq, own, small)
+                    out[small, :] = -(
+                        _phi(a + b, gamma) - _phi(a - b, gamma)
+                    ) / rs[:, None] ** (2.0 + gamma)
+            big = ~small
+            if np.any(big):
+                rb = r[big]
+                up, um = paired_values(rb, own, big)
+                c = at(u0s, own, big)[:, None]
+                if gamma is None:
+                    out[big, :] = (2.0 * c - up - um) / rb[:, None] ** 2
+                else:
+                    p = _phi(c - up, gamma) + _phi(c - um, gamma)
+                    out[big, :] = p / rb[:, None] ** (2.0 + gamma)
+            return out
+
+        def f_inner(rho, own):
             rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
             r = rho ** (1.0 / rho_exp)
-            cq = curvature_quotient(r, theta, hq, ga)
+            cq = curvature_quotient(r, own)
             kap = radial_profile(spec, r[:, None], theta)
             return (cq * kap) @ wh
 
-        inner_raw, inner_err, ok_in, _ = adaptive_interval(
-            f_inner, 0.0, eps ** rho_exp, cfg.rel_tol, abs_floor, cfg.max_depth
-        )
-        inner_val = inner_raw / rho_exp
-        inner_err = inner_err / rho_exp
-
-        def f_shell(t):
+        def f_shell(t, own):
             r = np.exp(np.asarray(t, dtype=float))
-            up, um = paired_values(r, theta)
+            up, um = paired_values(r, own)
+            c = at(u0s, own)[:, None]
             if gamma is None:
-                p = (u0 - up) + (u0 - um)
+                p = (c - up) + (c - um)
             else:
-                p = _phi(u0 - up, gamma) + _phi(u0 - um, gamma)
+                p = _phi(c - up, gamma) + _phi(c - um, gamma)
             kap = radial_profile(spec, r[:, None], theta)
             return (p * kap * np.exp(-al * np.log(r))[:, None]) @ wh
 
-        shell_val, shell_err, ok_sh, _ = adaptive_interval(
-            f_shell,
-            math.log(eps),
-            math.log(R),
+        inner_raw, inner_err, ok_in, _, n_in = adaptive_interval(
+            _blocked(f_inner, k),
+            [0.0] * idx.size,
+            [eps ** rho_exp] * idx.size,
             cfg.rel_tol,
             abs_floor,
             cfg.max_depth,
-            breakpoints=tuple(math.log(t) for t in breaks),
+            breakpoints=[()] * idx.size,
         )
-        return inner_val, inner_err, shell_val, shell_err, ok_in and ok_sh
+        shell_val, shell_err, ok_sh, _, n_sh = adaptive_interval(
+            _blocked(f_shell, k),
+            [math.log(eps)] * idx.size,
+            [math.log(R)] * idx.size,
+            cfg.rel_tol,
+            abs_floor,
+            cfg.max_depth,
+            breakpoints=[log_breaks[i] for i in pts_idx],
+        )
+        return (
+            inner_raw / rho_exp, inner_err / rho_exp, shell_val, shell_err,
+            ok_in & ok_sh, n_in + n_sh,
+        )
 
+    # Every point runs the coarsest sphere rule; in 2-D a point moves on to
+    # the next finer rule until two successive levels agree.
+    log_breaks = [tuple(math.log(t) for t in _feature_radii(u, spec, xp, eps, R)) for xp in X]
     levels = (0,) if spec.dim == 1 else (0, 1, 2)
-    prev = None
-    angular_gap = 0.0
-    for lev in levels:
-        cur = run_level(lev)
-        if prev is not None:
-            angular_gap = abs((cur[0] + cur[2]) - (prev[0] + prev[2]))
-            if angular_gap <= max(
-                10.0 * abs_floor, cfg.rel_tol * abs(cur[0] + cur[2])
-            ):
-                prev = cur
-                break
-        prev = cur
-    inner_val, inner_err, shell_val, shell_err, radial_ok = prev
+    active = np.arange(P)
+    inner_val, inner_err, shell_val, shell_err, radial_ok, neval = run_level(
+        levels[0], active
+    )
+    angular_gap = np.zeros(P)
+    for lev in levels[1:]:
+        if not active.size:
+            break
+        iv, ie, sv, se, ok, n_lev = run_level(lev, active)
+        gap = np.abs((iv + sv) - (inner_val[active] + shell_val[active]))
+        inner_val[active], inner_err[active] = iv, ie
+        shell_val[active], shell_err[active] = sv, se
+        radial_ok[active], angular_gap[active] = ok, gap
+        neval[active] += n_lev
+        tol = np.fmax(10.0 * abs_floor, cfg.rel_tol * np.abs(iv + sv))
+        active = active[~(gap <= tol)]
 
     # Far contribution and the operator-level tail bound.
     m_out, m_out_err = outer_mass(spec, R)
@@ -280,35 +367,34 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
     else:
         tb = (2.0 * u.sup_bound) ** (gamma + 1.0) * (m_out + m_out_err)
 
-    far_val = 0.0
-    far_err = 0.0
+    far_val = np.zeros(P)
+    far_err = np.zeros(P)
     if grid_like:
-        far_ref = u.exterior_value
-        tail_dev = (
-            0.0
-            if R >= u.box_reach(x)
-            else float(np.max(np.abs(u.grid.values - u.exterior_value)))
-        )
-    else:
-        far_ref = u.far_value
-        tail_dev = (
-            u.tail_bound_outside(max(R - float(np.linalg.norm(x)), 0.0))
-            if far_ref is not None
-            else None
-        )
-    if far_ref is not None:
-        diff = u0 - far_ref
+        box_dev = float(np.max(np.abs(u.grid.values - u.exterior_value)))
+    for i, (xp, u0p) in enumerate(zip(X, u0.tolist())):
+        if grid_like:
+            far_ref = u.exterior_value
+            tail_dev = 0.0 if R >= u.box_reach(xp) else box_dev
+        else:
+            far_ref = u.far_value
+            tail_dev = (
+                u.tail_bound_outside(max(R - float(np.linalg.norm(xp)), 0.0))
+                if far_ref is not None
+                else None
+            )
+        if far_ref is None:
+            far_err[i] = tb
+            continue
+        diff = u0p - far_ref
         if gamma is None:
-            far_val = diff * m_out
+            far_val[i] = diff * m_out
             slope = 1.0
             far_mag = abs(diff)
         else:
-            far_val = float(_phi(diff, gamma)) * m_out
+            far_val[i] = float(_phi(diff, gamma)) * m_out
             slope = (gamma + 1.0) * (abs(diff) + tail_dev) ** gamma
             far_mag = abs(diff) ** (gamma + 1.0)
-        far_err = slope * tail_dev * m_out + far_mag * m_out_err
-    else:
-        far_err = tb
+        far_err[i] = slope * tail_dev * m_out + far_mag * m_out_err
 
     err = inner_err + shell_err + far_err + angular_gap
     if grid_like:
@@ -321,13 +407,23 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
         err += 0.125 * u.dim * d2 * m_shell
 
     value = inner_val + shell_val + far_val
+    if not single:
+        return EvalBatch(
+            value=value,
+            err_estimate=err,
+            tail_bound=np.full(P, float(tb)),
+            inner_contribution=inner_val,
+            converged=radial_ok,
+            neval=neval,
+        )
     result = EvalResult(
-        value=float(value),
-        err_estimate=float(err),
+        value=float(value[0]),
+        err_estimate=float(err[0]),
         tail_bound=float(tb),
-        inner_contribution=float(inner_val),
+        inner_contribution=float(inner_val[0]),
+        neval=int(neval[0]),
     )
-    if not radial_ok:
+    if not radial_ok[0]:
         raise NonConvergenceError(
             "adaptive refinement hit max_depth before reaching tolerance",
             value=result.value,
@@ -336,8 +432,15 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
     return result
 
 
-def eval_LK(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig | None = None) -> EvalResult:
-    """L_K u(x) as a principal value, with an honest error estimate."""
+def eval_LK(
+    u: Field, spec: KernelSpec, x, cfg: QuadratureConfig | None = None
+) -> EvalResult | EvalBatch:
+    """L_K u(x) as a principal value, with an honest error estimate.
+
+    ``x`` of shape (dim,) returns an EvalResult and raises
+    NonConvergenceError when refinement hits ``max_depth``; a point set of
+    shape (P, dim) returns an EvalBatch that flags such points instead.
+    """
     if cfg is None:
         cfg = default_config(u)
     return _eval_engine(u, spec, x, cfg, None)
@@ -349,8 +452,9 @@ def eval_FGK(
     spec: KernelSpec,
     x,
     cfg: QuadratureConfig | None = None,
-) -> EvalResult:
-    """F_{G,K} u(x); the identity nonlinearity delegates to eval_LK."""
+) -> EvalResult | EvalBatch:
+    """F_{G,K} u(x) at one point or a point set, as ``eval_LK`` describes;
+    the identity nonlinearity delegates to eval_LK."""
     if cfg is None:
         cfg = default_config(u)
     if g.g_kind == G_IDENTITY or g.gamma == 0.0:

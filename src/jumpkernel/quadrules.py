@@ -3,7 +3,8 @@
 Everything here is deterministic: no randomness, no threading, stable
 summation order.  The adaptive driver is a wave-based Gauss–Kronrod (7,15)
 scheme whose integrands must accept numpy arrays (it evaluates whole
-refinement generations in single vectorized calls).
+refinement generations in single vectorized calls, over one interval or over
+the intervals of a whole batch of owners).
 """
 
 from __future__ import annotations
@@ -57,66 +58,123 @@ G7_WEIGHTS = np.concatenate([_GK_W7[:3], [_GK_W7[3]], _GK_W7[2::-1]])
 
 def adaptive_interval(
     f,
-    a: float,
-    b: float,
+    a,
+    b,
     rel_tol: float = 1e-9,
     abs_floor: float = 0.0,
     max_depth: int = 24,
     breakpoints=(),
 ):
-    """Integrate a vectorized scalar integrand over [a, b].
+    """Integrate a vectorized integrand over [a, b], or over one interval
+    per owner of a batch.
 
-    ``breakpoints`` seeds the initial partition (callers list radii where the
-    integrand has kinks or localized features, so the first generation cannot
-    step over them).  Returns ``(value, err, converged, neval)``; ``err`` is
-    the summed Kronrod minus Gauss discrepancy of the accepted panels.
+    Scalar form: ``a`` and ``b`` are floats, ``f`` maps an array of nodes
+    to integrand values, and ``breakpoints`` seeds the initial partition
+    (callers list radii where the integrand has kinks or localized
+    features, so the first generation cannot step over them).  Returns
+    ``(value, err, converged, neval)``; ``err`` is the summed Kronrod minus
+    Gauss discrepancy of the accepted panels.
+
+    Batch form: ``a`` and ``b`` are arrays of shape (P,), one interval per
+    owner, ``breakpoints`` holds one sequence per owner, and ``f(t, owner)``
+    receives the nodes of a whole wave together with each node's owner
+    index.  Each owner's panels stay contiguous and in the scalar order
+    (a wave's left halves, then its right halves), and each owner has its
+    own accepted sums, tolerance and budget, so an owner that hits
+    ``max_depth`` is marked not converged by itself.  Returns (P,) arrays
+    ``(value, err, converged)``, the total ``neval`` over all owners, and
+    the (P,) integrand node count of each owner.  A batch of one sums
+    exactly as the scalar form does; larger batches sum each owner's panels
+    sequentially, which agrees to rounding.
     """
-    if not b > a:
-        return 0.0, 0.0, True, 0
-    edges = [a]
-    for t in sorted(set(float(t) for t in breakpoints)):
-        if a < t < b:
-            edges.append(t)
-    edges.append(b)
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
-    depth = np.zeros(lo.size, dtype=int)
+    scalar = np.isscalar(a)
+    if scalar:
+        a, b, breakpoints = [a], [b], [breakpoints]
+        g = f
 
-    total_len = b - a
-    accepted_val = 0.0
-    accepted_err = 0.0
+        def f(t, owner):
+            return g(t)
+
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    n_own = len(a)
+    lo, hi, owner = [], [], []
+    for k, (ak, bk, bp) in enumerate(zip(a, b, breakpoints)):
+        if not bk > ak:
+            continue
+        edges = [ak] + [t for t in sorted(set(float(t) for t in bp)) if ak < t < bk] + [bk]
+        lo += edges[:-1]
+        hi += edges[1:]
+        owner += [k] * (len(edges) - 1)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    owner = np.array(owner, dtype=np.intp)
+    depth = np.zeros(lo.size, dtype=int)
+    total_len = np.array([bk - ak for ak, bk in zip(a, b)])
+
+    # A single owner needs no per-owner bookkeeping: its arrays broadcast.
+    one = n_own == 1
+
+    def owner_sums(vals, mask):
+        if one:
+            return vals[mask].sum()
+        return np.bincount(owner[mask], weights=vals[mask], minlength=n_own)
+
+    def per_panel(v):
+        return v if one else v[owner]
+
+    accepted_val, accepted_err = np.zeros((2, n_own))
+    converged = np.ones(n_own, dtype=bool)
     neval = 0
-    converged = True
+    panels = None if one else np.zeros(n_own, dtype=int)  # evaluated per owner
 
     while lo.size:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         pts = mid[:, None] + half[:, None] * K15_NODES[None, :]
-        fv = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+        fv = np.asarray(f(pts.ravel(), owner.repeat(K15_NODES.size)), dtype=float)
+        fv = fv.reshape(pts.shape)
         neval += pts.size
+        if not one:
+            panels += np.bincount(owner, minlength=n_own)
         i15 = half * (fv @ K15_WEIGHTS)
         i7 = half * (fv[:, G7_COLUMNS] @ G7_WEIGHTS)
         err = np.abs(i15 - i7)
 
-        scale = abs(accepted_val + float(np.sum(i15)))
-        tol_now = max(abs_floor, rel_tol * scale)
-        budget = tol_now * (hi - lo) / total_len
+        scale = np.abs(accepted_val + owner_sums(i15, slice(None)))
+        tol_now = np.fmax(abs_floor, rel_tol * scale)
+        budget = per_panel(tol_now) * (hi - lo) / per_panel(total_len)
         ok = err <= budget
-        at_cap = depth >= max_depth
-        keep = ok | at_cap
-        if np.any(at_cap & ~ok):
-            converged = False
-
-        accepted_val += float(np.sum(i15[keep]))
-        accepted_err += float(np.sum(err[keep]))
+        keep = ok | (depth >= max_depth)
+        capped = keep & ~ok
+        if capped.any():
+            converged[owner[capped]] = False
+        accepted_val += owner_sums(i15, keep)
+        accepted_err += owner_sums(err, keep)
 
         split = ~keep
-        lo, hi, depth = (
-            np.concatenate([lo[split], mid[split]]),
-            np.concatenate([mid[split], hi[split]]),
-            np.concatenate([depth[split] + 1, depth[split] + 1]),
-        )
-    return accepted_val, accepted_err, converged, neval
+        mid, d1 = mid[split], depth[split] + 1
+        lo = np.concatenate([lo[split], mid])
+        hi = np.concatenate([mid, hi[split]])
+        depth = np.concatenate([d1, d1])
+        if one:
+            owner = np.zeros(lo.size, dtype=np.intp)
+            continue
+        # Each owner's split panels become its left halves, then its right
+        # halves: split panel j of an owner whose run of c split panels
+        # starts at s goes to s + j and s + c + j.
+        own = owner[split]
+        count = np.bincount(own, minlength=n_own)
+        left = (np.cumsum(count) - count)[own] + np.arange(own.size)
+        order = np.empty(lo.size, dtype=np.intp)
+        order[left] = np.arange(own.size)
+        order[left + count[own]] = np.arange(own.size, lo.size)
+        lo, hi, depth = lo[order], hi[order], depth[order]
+        owner = np.concatenate([own, own])[order]
+    if scalar:
+        return float(accepted_val[0]), float(accepted_err[0]), bool(converged[0]), neval
+    owner_neval = np.array([neval]) if one else panels * K15_NODES.size
+    return accepted_val, accepted_err, converged, neval, owner_neval
 
 
 @lru_cache(maxsize=64)

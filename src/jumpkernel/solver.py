@@ -328,10 +328,11 @@ def solve_dirichlet_nonlinear(
     halving t while the sup residual does not fall.  ``max_iter`` bounds the
     accepted steps of each stage; the report describes stage 2.
 
-    A node evaluation whose quadrature does not converge keeps its
-    unconverged value.  The report counts these over all passes in
-    ``suppressed_nonconvergence`` and in the accepted pass alone in
-    ``final_pass_suppressed``.
+    A PV pass is one ``eval_FGK`` call over all interior nodes.  A node
+    whose quadrature does not converge keeps its unconverged value; the
+    report counts these from the batch's ``converged`` flags, over all
+    passes in ``suppressed_nonconvergence`` and in the accepted pass alone
+    in ``final_pass_suppressed``.
     """
     if gspec.g_kind == G_IDENTITY or gspec.gamma == 0.0:
         return solve_dirichlet(
@@ -363,17 +364,9 @@ def solve_dirichlet_nonlinear(
     passes = []
 
     def pv_residual(v):
-        fld = solution_field(domain, op, v)
-        vals = np.empty(m)
-        n = 0
-        for i in range(m):
-            try:
-                vals[i] = eval_FGK(fld, gspec, spec, op.nodes[i], op.cfg).value
-            except NonConvergenceError as exc:
-                vals[i] = exc.value
-                n += 1
-        passes.append((v.tobytes(), n))
-        return vals - eval_f(gspec, v)
+        res = eval_FGK(solution_field(domain, op, v), gspec, spec, op.nodes, op.cfg)
+        passes.append((v.tobytes(), int(np.count_nonzero(~res.converged))))
+        return res.value - eval_f(gspec, v)
 
     u, history, converged = _damped_newton(pv_residual, J_h, u, solve_tol, max_iter)
     report = SolveReport(

@@ -333,31 +333,29 @@ def test_solution_field_wraps_interior_vector():
 def test_nonlinear_report_counts_suppressed_nonconvergence(monkeypatch):
     import jumpkernel.solver as solver_mod
 
-    calls = []  # (field, node, raised) per evaluation
+    passes = []  # (field, nodes, converged) per PV pass
     original = solver_mod.eval_FGK
 
-    def counting_eval_FGK(*args, **kwargs):
-        try:
-            out = original(*args, **kwargs)
-        except NonConvergenceError:
-            calls.append((args[0], float(args[3][0]), True))
-            raise
-        calls.append((args[0], float(args[3][0]), False))
+    def recording_eval_FGK(*args, **kwargs):
+        out = original(*args, **kwargs)
+        passes.append((args[0], np.asarray(args[3]), out.converged))
         return out
 
-    monkeypatch.setattr(solver_mod, "eval_FGK", counting_eval_FGK)
+    monkeypatch.setattr(solver_mod, "eval_FGK", recording_eval_FGK)
     g = NonlinearitySpec(g_kind=G_POWER, gamma=0.5, f_kind=F_CONSTANT, f_offset=1.0)
     dom = DomainSpec(dim=1, radius=1.0, grid_n=33)
     _, rep = solve_dirichlet_nonlinear(g, PL1, dom, solve_tol=1e-6)
     assert rep.converged
-    # every evaluation that raised was absorbed into the residual, and the
-    # report says how many there were
-    assert rep.suppressed_nonconvergence == sum(r for _, _, r in calls) == 5
+    # each PV pass is one batched call over the interior nodes; every node
+    # that did not converge was absorbed into the residual, and the report
+    # says how many there were
+    assert all(nodes.shape == (31, 1) for _, nodes, _ in passes)
+    assert rep.suppressed_nonconvergence == sum(int(np.sum(~c)) for _, _, c in passes) == 5
     # the accepted pass is the last one; its one unconverged node is the
     # centre, whose value is right but whose error estimate never settles
-    last = [(x, r) for fld, x, r in calls if fld is calls[-1][0]]
-    assert len(last) == 31
-    assert [x for x, r in last if r] == [0.0]
+    _, nodes, conv = passes[-1]
+    assert conv.shape == (31,)
+    assert nodes[~conv, 0].tolist() == [0.0]
     assert rep.final_pass_suppressed == 1
     # linear solves run no such evaluations
     _, lin = solve_dirichlet(PL1, F_ONE, dom)
