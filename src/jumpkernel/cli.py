@@ -17,6 +17,7 @@ exactly and a fixed seed reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -125,16 +126,6 @@ def _sha256(path) -> str:
 # ----------------------------------------------------------------------------
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "condition": rep.condition,
-        "holds": rep.holds,
-        "witness": None if rep.witness is None else list(rep.witness),
-        "estimate": rep.estimate,
-        "detail": dict(rep.detail),
-    }
-
-
 def _check_evenness(config, sample_count=10000):
     """K(y) = K(-y) at random points; an axis shift breaks it on purpose."""
     spec = config.kernel
@@ -170,7 +161,7 @@ def _run_check_kernel(config, outdir, written):
                   "K2": reports[2], "Evenness": reports[3]}
     payload = {
         "kernel": to_dict(spec),
-        "conditions": [_report_dict(r) for r in conditions.values()],
+        "conditions": [dataclasses.asdict(r) for r in conditions.values()],
     }
     holds = {name: bool(rep.holds) for name, rep in conditions.items()}
     mvt = None
@@ -235,21 +226,6 @@ def _run_eval_operator(config, outdir, written):
     }
 
 
-def _solve(config):
-    gspec = config.nonlinearity
-    if gspec is None:
-        gspec = NonlinearitySpec(f_kind=F_CONSTANT, f_offset=config.source)
-    if gspec.g_kind == G_IDENTITY:
-        return gspec, solve_dirichlet(
-            config.kernel, gspec, config.domain, config.quadrature,
-            solve_tol=config.solve_tol,
-        )
-    return gspec, solve_dirichlet_nonlinear(
-        gspec, config.kernel, config.domain, config.quadrature,
-        solve_tol=config.solve_tol,
-    )
-
-
 def _write_solution(outdir, written, u, report):
     if u is not None:
         save_grid_field(u, outdir / "solution.grid")
@@ -263,13 +239,30 @@ def _write_solution(outdir, written, u, report):
         written.append("solve_report.csv")
 
 
-def _run_solve_ball(config, outdir, written):
+def _solve(config, outdir, written):
+    """The solution field and its report.  On non-convergence the partial
+    solution the error carries is written before the error propagates."""
+    gspec = config.nonlinearity
+    if gspec is None:
+        gspec = NonlinearitySpec(f_kind=F_CONSTANT, f_offset=config.source)
     try:
-        _, (u, report) = _solve(config)
+        if gspec.g_kind == G_IDENTITY:
+            return solve_dirichlet(
+                config.kernel, gspec, config.domain, config.quadrature,
+                solve_tol=config.solve_tol,
+            )
+        return solve_dirichlet_nonlinear(
+            gspec, config.kernel, config.domain, config.quadrature,
+            solve_tol=config.solve_tol,
+        )
     except NonConvergenceError as exc:
         _write_solution(outdir, written,
                         getattr(exc, "field", None), getattr(exc, "report", None))
         raise
+
+
+def _run_solve_ball(config, outdir, written):
+    u, report = _solve(config, outdir, written)
     _write_solution(outdir, written, u, report)
     return {
         "converged": report.converged,
@@ -289,12 +282,7 @@ def _interp_budget(u):
 
 
 def _run_verify_symmetry(config, outdir, written):
-    try:
-        _, (u, report) = _solve(config)
-    except NonConvergenceError as exc:
-        _write_solution(outdir, written,
-                        getattr(exc, "field", None), getattr(exc, "report", None))
-        raise
+    u, report = _solve(config, outdir, written)
     n = config.kernel.dim
     sweep_tol = max(1e-12, 5.0 * config.solve_tol)
     rows, axes = [], []

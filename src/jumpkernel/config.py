@@ -310,13 +310,11 @@ def save_config(config: ExperimentConfig, path):
         fh.write("\n")
 
 
-def with_overrides(config: ExperimentConfig, task=None, seed=None, output_dir=None):
+def with_overrides(config: ExperimentConfig, task=None, seed=None):
     """A copy with CLI-level overrides applied (None leaves a field alone)."""
     kw = {}
     if task is not None:
         kw["task"] = task
     if seed is not None:
         kw["seed"] = int(seed)
-    if output_dir is not None:
-        kw["output_dir"] = str(output_dir)
     return replace(config, **kw) if kw else config

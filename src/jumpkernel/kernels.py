@@ -324,7 +324,7 @@ def check_levy_khintchine(spec: KernelSpec, rel_change_tol: float = 1e-8) -> Con
 
     theta, w = quadrules.sphere_rule(n, level=2)
 
-    def integrand(s):
+    def integrand(s, _owner):
         r = np.exp(s)
         kappa = radial_profile(spec, r[:, None], theta[None, :, :])
         cang = kappa @ w
@@ -334,9 +334,9 @@ def check_levy_khintchine(spec: KernelSpec, rel_change_tol: float = 1e-8) -> Con
     prev = None
     windows = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
     for width in windows:
-        val, _, _, _ = quadrules.adaptive_interval(
-            integrand, -width, width, rel_tol=1e-10, max_depth=28, breakpoints=[0.0]
-        )
+        val = float(quadrules.adaptive_interval(
+            integrand, [-width], [width], rel_tol=1e-10, max_depth=28, breakpoints=[[0.0]]
+        )[0][0])
         if prev is not None and abs(val - prev) <= rel_change_tol * max(abs(val), 1e-300):
             return ConditionReport(
                 CONDITION_LEVY_KHINTCHINE,

@@ -36,10 +36,13 @@ The engine works over a point set.  ``eval_LK``/``eval_FGK`` accept one
 point of shape (dim,), which returns an ``EvalResult`` and raises
 ``NonConvergenceError`` when refinement hits ``max_depth``, or a set of
 shape (P, dim), which returns an ``EvalBatch`` of per-point arrays with a
-``converged`` flag instead of raising.  All points share one sphere rule
-per level, and each adaptive wave integrates the panels of every point that
-is still refining in one integrand call; a single point is a batch of one
-and reproduces the one-point arithmetic exactly.
+``converged`` flag instead of raising.  One point and many take the same
+path.  All points share one sphere rule per level, and each adaptive wave
+integrates the panels of every point that is still refining: the left
+halves of all refining panels, then their right halves, so each point meets
+its panels in the order of a one-point drive.  A long wave is cut into
+integrand calls of bounded size, and a single point reproduces the
+one-point arithmetic exactly.
 """
 
 from __future__ import annotations
@@ -170,25 +173,27 @@ def _phi(t, gamma):
     return np.abs(t) ** gamma * t
 
 
-# Elements (radial nodes x sphere directions) per integrand call: a wave of
-# many 2-D points is cut, at owner boundaries, into calls of about this size.
+# Elements (radial nodes x sphere directions) per integrand call: a long
+# wave is cut into calls of at most this size.
 _WAVE_BLOCK = 1 << 14
 
 
 def _blocked(f, k):
-    """The integrand ``f(t, owner)`` with large waves cut, at owner
-    boundaries, into calls of about ``_WAVE_BLOCK`` elements (nodes times
-    ``k`` sphere directions); one owner's nodes are never split."""
-    cap = max(1, _WAVE_BLOCK // k)
+    """The integrand ``f(t, owner)`` with a long wave cut into calls of at
+    most ``_WAVE_BLOCK // k`` nodes (``k`` sphere directions per node).
+
+    The integrands work node by node, so a cut may fall between any two
+    nodes, whoever owns them.  Cuts fall on multiples of 32 nodes: the
+    BLAS matrix-vector product behind the angular sum takes rows in small
+    aligned groups, so an aligned cut leaves each node's sum rounding as
+    in one uncut call, and a cut one-point wave keeps its bits.
+    """
+    cap = max(32, _WAVE_BLOCK // k // 32 * 32)
 
     def g(t, own):
         if t.size <= cap:
             return f(t, own)
-        starts = np.flatnonzero(np.diff(own)) + 1
-        cuts = starts[np.diff(starts // cap, prepend=0) > 0]
-        return np.concatenate(
-            [f(tb, ob) for tb, ob in zip(np.split(t, cuts), np.split(own, cuts))]
-        )
+        return np.concatenate([f(t[s:s + cap], own[s:s + cap]) for s in range(0, t.size, cap)])
 
     return g
 
@@ -243,20 +248,15 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
         rule; the drivers' owner k is the point ``idx[k]``."""
         theta, w = sphere_rule(spec.dim, level, half=True)
         wh = 0.5 * w  # ... so that sum(wh * even integrand) = ½ ∫_S dσ
-        xs, u0s = (X, u0) if idx.size == P else (X[idx], u0[idx])
+        xs, u0s = X[idx], u0[idx]
         pts_idx = idx.tolist()
         hq = np.array([np.einsum("ki,ij,kj->k", theta, hess[i], theta) for i in pts_idx])
         ga = np.array([theta @ grad[i] for i in pts_idx]) if gamma is not None else None
         k = theta.shape[0]
 
-        def at(a, own, sel=slice(None)):
-            """Per-point data ``a`` for the nodes ``sel`` of a wave with
-            owners ``own`` (a batch of one broadcasts)."""
-            return a if len(a) == 1 else a[own[sel]]
-
-        def paired_values(r, own, sel=slice(None)):
-            """u at x ± r theta — shape (m_r, m_theta) each."""
-            xo = at(xs, own, sel)[:, None, :]
+        def paired_values(r, own):
+            """u at x_own ± r theta — shape (m_r, m_theta) each."""
+            xo = xs[own][:, None, :]
             step = r[:, None, None] * theta[None, :, :]
             up = np.asarray(u.value((xo + step).reshape(-1, spec.dim))).reshape(r.size, k)
             um = np.asarray(u.value((xo - step).reshape(-1, spec.dim))).reshape(r.size, k)
@@ -273,7 +273,7 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
             small = (r < r_switch) | grid_like
             if np.any(small):
                 if gamma is None:
-                    out[small, :] = -at(hq, own, small)
+                    out[small, :] = -hq[own[small]]
                 else:
                     # Exact paired difference of the quadratic model; stable
                     # for all r > 0 (underflow regions are far below any
@@ -281,16 +281,16 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
                     # shortcut here would leave a jump the adaptive driver
                     # can never integrate past.
                     rs = np.maximum(r[small], 1e-30)
-                    a = rs[:, None] * at(ga, own, small)
-                    b = 0.5 * rs[:, None] ** 2 * at(hq, own, small)
+                    a = rs[:, None] * ga[own[small]]
+                    b = 0.5 * rs[:, None] ** 2 * hq[own[small]]
                     out[small, :] = -(
                         _phi(a + b, gamma) - _phi(a - b, gamma)
                     ) / rs[:, None] ** (2.0 + gamma)
             big = ~small
             if np.any(big):
                 rb = r[big]
-                up, um = paired_values(rb, own, big)
-                c = at(u0s, own, big)[:, None]
+                up, um = paired_values(rb, own[big])
+                c = u0s[own[big]][:, None]
                 if gamma is None:
                     out[big, :] = (2.0 * c - up - um) / rb[:, None] ** 2
                 else:
@@ -308,7 +308,7 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
         def f_shell(t, own):
             r = np.exp(np.asarray(t, dtype=float))
             up, um = paired_values(r, own)
-            c = at(u0s, own)[:, None]
+            c = u0s[own][:, None]
             if gamma is None:
                 p = (c - up) + (c - um)
             else:

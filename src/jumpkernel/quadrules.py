@@ -2,9 +2,10 @@
 
 Everything here is deterministic: no randomness, no threading, stable
 summation order.  The adaptive driver is a wave-based Gauss–Kronrod (7,15)
-scheme whose integrands must accept numpy arrays (it evaluates whole
-refinement generations in single vectorized calls, over one interval or over
-the intervals of a whole batch of owners).
+scheme over one interval per owner, with one calling convention for one
+owner or many: it evaluates a whole refinement generation of every owner in
+one vectorized integrand call, laid out as the left halves of all refining
+panels, then their right halves.
 """
 
 from __future__ import annotations
@@ -65,36 +66,24 @@ def adaptive_interval(
     max_depth: int = 24,
     breakpoints=(),
 ):
-    """Integrate a vectorized integrand over [a, b], or over one interval
-    per owner of a batch.
+    """Integrate a vectorized integrand over one interval per owner.
 
-    Scalar form: ``a`` and ``b`` are floats, ``f`` maps an array of nodes
-    to integrand values, and ``breakpoints`` seeds the initial partition
-    (callers list radii where the integrand has kinks or localized
-    features, so the first generation cannot step over them).  Returns
-    ``(value, err, converged, neval)``; ``err`` is the summed Kronrod minus
-    Gauss discrepancy of the accepted panels.
+    ``a`` and ``b`` are sequences of length P, one interval [a_k, b_k] per
+    owner k, and ``breakpoints`` holds one sequence per owner that seeds its
+    initial partition (callers list radii where the integrand has kinks or
+    localized features, so the first generation cannot step over them).
+    ``f(t, owner)`` receives the nodes of a whole wave together with each
+    node's owner index and returns the integrand values node by node.
 
-    Batch form: ``a`` and ``b`` are arrays of shape (P,), one interval per
-    owner, ``breakpoints`` holds one sequence per owner, and ``f(t, owner)``
-    receives the nodes of a whole wave together with each node's owner
-    index.  Each owner's panels stay contiguous and in the scalar order
-    (a wave's left halves, then its right halves), and each owner has its
-    own accepted sums, tolerance and budget, so an owner that hits
-    ``max_depth`` is marked not converged by itself.  Returns (P,) arrays
-    ``(value, err, converged)``, the total ``neval`` over all owners, and
-    the (P,) integrand node count of each owner.  A batch of one sums
-    exactly as the scalar form does; larger batches sum each owner's panels
-    sequentially, which agrees to rounding.
+    A wave lists the left halves of every panel that refines, then their
+    right halves, so each owner meets its own panels in the order a drive
+    over its interval alone would.  Each owner has its own accepted sums,
+    tolerance and budget, so an owner that hits ``max_depth`` is marked not
+    converged by itself.  Returns (P,) arrays ``(value, err, converged)``,
+    where ``err`` is the summed Kronrod minus Gauss discrepancy of the
+    accepted panels, then the total integrand node count over all owners
+    and the (P,) node count of each owner.
     """
-    scalar = np.isscalar(a)
-    if scalar:
-        a, b, breakpoints = [a], [b], [breakpoints]
-        g = f
-
-        def f(t, owner):
-            return g(t)
-
     a = [float(v) for v in a]
     b = [float(v) for v in b]
     n_own = len(a)
@@ -112,21 +101,16 @@ def adaptive_interval(
     depth = np.zeros(lo.size, dtype=int)
     total_len = np.array([bk - ak for ak, bk in zip(a, b)])
 
-    # A single owner needs no per-owner bookkeeping: its arrays broadcast.
-    one = n_own == 1
-
     def owner_sums(vals, mask):
-        if one:
+        if n_own == 1:
+            # np.sum adds pairwise and np.bincount in sequence: keeping the
+            # pairwise sum for one owner keeps every one-point value's bits.
             return vals[mask].sum()
         return np.bincount(owner[mask], weights=vals[mask], minlength=n_own)
 
-    def per_panel(v):
-        return v if one else v[owner]
-
     accepted_val, accepted_err = np.zeros((2, n_own))
     converged = np.ones(n_own, dtype=bool)
-    neval = 0
-    panels = None if one else np.zeros(n_own, dtype=int)  # evaluated per owner
+    panels = np.zeros(n_own, dtype=int)  # panels evaluated per owner
 
     while lo.size:
         mid = 0.5 * (lo + hi)
@@ -134,16 +118,14 @@ def adaptive_interval(
         pts = mid[:, None] + half[:, None] * K15_NODES[None, :]
         fv = np.asarray(f(pts.ravel(), owner.repeat(K15_NODES.size)), dtype=float)
         fv = fv.reshape(pts.shape)
-        neval += pts.size
-        if not one:
-            panels += np.bincount(owner, minlength=n_own)
+        panels += np.bincount(owner, minlength=n_own)
         i15 = half * (fv @ K15_WEIGHTS)
         i7 = half * (fv[:, G7_COLUMNS] @ G7_WEIGHTS)
         err = np.abs(i15 - i7)
 
         scale = np.abs(accepted_val + owner_sums(i15, slice(None)))
         tol_now = np.fmax(abs_floor, rel_tol * scale)
-        budget = per_panel(tol_now) * (hi - lo) / per_panel(total_len)
+        budget = tol_now[owner] * (hi - lo) / total_len[owner]
         ok = err <= budget
         keep = ok | (depth >= max_depth)
         capped = keep & ~ok
@@ -153,28 +135,13 @@ def adaptive_interval(
         accepted_err += owner_sums(err, keep)
 
         split = ~keep
-        mid, d1 = mid[split], depth[split] + 1
+        mid, d1, own = mid[split], depth[split] + 1, owner[split]
         lo = np.concatenate([lo[split], mid])
         hi = np.concatenate([mid, hi[split]])
         depth = np.concatenate([d1, d1])
-        if one:
-            owner = np.zeros(lo.size, dtype=np.intp)
-            continue
-        # Each owner's split panels become its left halves, then its right
-        # halves: split panel j of an owner whose run of c split panels
-        # starts at s goes to s + j and s + c + j.
-        own = owner[split]
-        count = np.bincount(own, minlength=n_own)
-        left = (np.cumsum(count) - count)[own] + np.arange(own.size)
-        order = np.empty(lo.size, dtype=np.intp)
-        order[left] = np.arange(own.size)
-        order[left + count[own]] = np.arange(own.size, lo.size)
-        lo, hi, depth = lo[order], hi[order], depth[order]
-        owner = np.concatenate([own, own])[order]
-    if scalar:
-        return float(accepted_val[0]), float(accepted_err[0]), bool(converged[0]), neval
-    owner_neval = np.array([neval]) if one else panels * K15_NODES.size
-    return accepted_val, accepted_err, converged, neval, owner_neval
+        owner = np.concatenate([own, own])
+    owner_neval = panels * K15_NODES.size
+    return accepted_val, accepted_err, converged, int(owner_neval.sum()), owner_neval
 
 
 @lru_cache(maxsize=64)

@@ -162,11 +162,33 @@ def test_2d_batch_matches_point_calls_across_sphere_levels(gamma):
 
 
 def test_2d_lattice_batch_cut_into_blocks_matches_point_calls(monkeypatch):
-    # a small element budget forces every wave to be cut at owner boundaries
+    # a small element budget cuts the long waves, inside owners' runs too
     monkeypatch.setattr(quadrature, "_WAVE_BLOCK", 4000)
     u = field(2, "grid")
     X = np.array([[0.3, -0.2], [-0.45, 0.1], [0.0, 0.65]])
     assert_batch_matches_point_calls(u, KernelSpec(POWER_LAW, 2, 1.0), X, default_config(u), None)
+
+
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_cut_one_point_waves_keep_the_referee_bits(monkeypatch, gamma):
+    # a small element budget cuts one point's long waves too; the cuts must
+    # not move a bit of its value
+    monkeypatch.setattr(quadrature, "_WAVE_BLOCK", 4000)
+    longest = []
+    drive = quadrature.adaptive_interval
+
+    def spy(f, *args, **kwargs):
+        def g(t, owner):
+            longest.append(t.size)
+            return f(t, owner)
+        return drive(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_interval", spy)
+    u = field(2, "grid")
+    spec = KernelSpec(POWER_LAW, 2, 1.0)
+    for x in ([0.3, -0.2], [0.0, 0.0]):
+        assert_batch_of_one_is_the_referee(u, spec, np.array(x), default_config(u), gamma)
+    assert max(longest) > 4000 // 20  # some wave outgrew one call at any level
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -195,10 +217,14 @@ INTEGRANDS = [
 
 @pytest.mark.parametrize("case", range(len(INTEGRANDS)))
 def test_scalar_driver_is_the_referee(case):
+    # a drive with one owner is the one-interval referee, bit for bit
     f, a, b, bp, depth = INTEGRANDS[case]
-    got = adaptive_interval(f, a, b, 1e-10, 1e-14, depth, breakpoints=bp)
+    val, err, conv, neval, owner_neval = adaptive_interval(
+        lambda t, owner: f(t), [a], [b], 1e-10, 1e-14, depth, breakpoints=[bp])
+    assert [arr.shape for arr in (val, err, conv, owner_neval)] == [(1,)] * 4
+    got = (val[0], err[0], bool(conv[0]), neval)
     assert got == oracles.adaptive_interval_scalar(f, a, b, 1e-10, 1e-14, depth, bp)
-    assert [type(v) for v in got] == [float, float, bool, int]
+    assert type(neval) is int and owner_neval[0] == neval
 
 
 def test_batched_driver_matches_scalar_drives_owner_by_owner():
@@ -212,7 +238,6 @@ def test_batched_driver_matches_scalar_drives_owner_by_owner():
     waves = []
 
     def f_batch(t, owner):
-        assert np.all(np.diff(owner) >= 0)  # each owner's nodes contiguous
         waves.append((t.copy(), owner.copy()))
         out = np.empty_like(t)
         for k in np.unique(owner):
