@@ -45,7 +45,7 @@ from .nonlinearity import (
     check_G2prime,
     mvt_min_ratio,
 )
-from .quadrature import eval_LK, eval_FGK
+from .quadrature import eval_LK, eval_FGK, require_converged
 from .solver import solve_dirichlet, solve_dirichlet_nonlinear
 from .moving_planes import (
     PlaneReflection,
@@ -204,14 +204,13 @@ def _run_eval_operator(config, outdir, written):
     u = (config.field or FieldSpec()).build(spec.dim)
     pts = _eval_points(config)
     gspec = config.nonlinearity
-    rows = []
-    for x in pts:
-        if gspec is not None:
-            res = eval_FGK(u, gspec, spec, x, config.quadrature)
-        else:
-            res = eval_LK(u, spec, x, config.quadrature)
-        rows.append(tuple(x) + (res.value, res.err_estimate,
-                                res.tail_bound, res.inner_contribution))
+    if gspec is not None:
+        res = eval_FGK(u, gspec, spec, pts, config.quadrature)
+    else:
+        res = eval_LK(u, spec, pts, config.quadrature)
+    require_converged(res)
+    rows = [tuple(x) + r for x, r in zip(pts, zip(
+        res.value, res.err_estimate, res.tail_bound, res.inner_contribution))]
     header = [f"x{i + 1}[1]" for i in range(spec.dim)] + [
         "value[1]", "err_estimate[1]", "tail_bound[1]", "inner_contribution[1]",
     ]

@@ -41,8 +41,9 @@ path.  All points share one sphere rule per level, and each adaptive wave
 integrates the panels of every point that is still refining: the left
 halves of all refining panels, then their right halves, so each point meets
 its panels in the order of a one-point drive.  A long wave is cut into
-integrand calls of bounded size, and a single point reproduces the
-one-point arithmetic exactly.
+integrand calls of bounded size.  Every sum is row-local (see
+``quadrules``), so every point of any batch equals its one-point call bit
+for bit, wherever the waves are cut.
 """
 
 from __future__ import annotations
@@ -183,12 +184,9 @@ def _blocked(f, k):
     most ``_WAVE_BLOCK // k`` nodes (``k`` sphere directions per node).
 
     The integrands work node by node, so a cut may fall between any two
-    nodes, whoever owns them.  Cuts fall on multiples of 32 nodes: the
-    BLAS matrix-vector product behind the angular sum takes rows in small
-    aligned groups, so an aligned cut leaves each node's sum rounding as
-    in one uncut call, and a cut one-point wave keeps its bits.
+    nodes, whoever owns them.
     """
-    cap = max(32, _WAVE_BLOCK // k // 32 * 32)
+    cap = _WAVE_BLOCK // k
 
     def g(t, own):
         if t.size <= cap:
@@ -302,8 +300,9 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
             rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
             r = rho ** (1.0 / rho_exp)
             cq = curvature_quotient(r, own)
-            kap = radial_profile(spec, r[:, None], theta)
-            return (cq * kap) @ wh
+            cq *= radial_profile(spec, r[:, None], theta)
+            cq *= wh
+            return cq.sum(axis=1)
 
         def f_shell(t, own):
             r = np.exp(np.asarray(t, dtype=float))
@@ -313,8 +312,10 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
                 p = (c - up) + (c - um)
             else:
                 p = _phi(c - up, gamma) + _phi(c - um, gamma)
-            kap = radial_profile(spec, r[:, None], theta)
-            return (p * kap * np.exp(-al * np.log(r))[:, None]) @ wh
+            p *= radial_profile(spec, r[:, None], theta)
+            p *= np.exp(-al * np.log(r))[:, None]
+            p *= wh
+            return p.sum(axis=1)
 
         inner_raw, inner_err, ok_in, _, n_in = adaptive_interval(
             _blocked(f_inner, k),
@@ -406,30 +407,36 @@ def _eval_engine(u: Field, spec: KernelSpec, x, cfg: QuadratureConfig, gamma):
         m_shell = max(outer_mass(spec, eps)[0] - m_out, 0.0)
         err += 0.125 * u.dim * d2 * m_shell
 
-    value = inner_val + shell_val + far_val
+    batch = EvalBatch(
+        value=inner_val + shell_val + far_val,
+        err_estimate=err,
+        tail_bound=np.full(P, float(tb)),
+        inner_contribution=inner_val,
+        converged=radial_ok,
+        neval=neval,
+    )
     if not single:
-        return EvalBatch(
-            value=value,
-            err_estimate=err,
-            tail_bound=np.full(P, float(tb)),
-            inner_contribution=inner_val,
-            converged=radial_ok,
-            neval=neval,
-        )
-    result = EvalResult(
-        value=float(value[0]),
-        err_estimate=float(err[0]),
+        return batch
+    require_converged(batch)
+    return EvalResult(
+        value=float(batch.value[0]),
+        err_estimate=float(batch.err_estimate[0]),
         tail_bound=float(tb),
         inner_contribution=float(inner_val[0]),
         neval=int(neval[0]),
     )
-    if not radial_ok[0]:
+
+
+def require_converged(batch: EvalBatch) -> None:
+    """Raise NonConvergenceError for the first point of ``batch`` whose
+    refinement hit ``max_depth``, carrying its value and error estimate."""
+    bad = np.flatnonzero(~batch.converged)
+    if bad.size:
         raise NonConvergenceError(
             "adaptive refinement hit max_depth before reaching tolerance",
-            value=result.value,
-            err_estimate=result.err_estimate,
+            value=float(batch.value[bad[0]]),
+            err_estimate=float(batch.err_estimate[bad[0]]),
         )
-    return result
 
 
 def eval_LK(

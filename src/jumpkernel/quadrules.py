@@ -1,11 +1,13 @@
 """Low-level quadrature primitives.
 
-Everything here is deterministic: no randomness, no threading, stable
-summation order.  The adaptive driver is a wave-based Gauss–Kronrod (7,15)
-scheme over one interval per owner, with one calling convention for one
-owner or many: it evaluates a whole refinement generation of every owner in
-one vectorized integrand call, laid out as the left halves of all refining
-panels, then their right halves.
+Everything here is deterministic: no randomness, no threading.  Every sum
+is row-local: a node's weighted sum depends only on that node's row, and
+an owner's sum only on that owner's panels, added in sequence.  The
+adaptive driver is a wave-based Gauss–Kronrod (7,15) scheme over one
+interval per owner, with one calling convention for one owner or many: it
+evaluates a whole refinement generation of every owner in one vectorized
+integrand call, laid out as the left halves of all refining panels, then
+their right halves.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ _GK_W7 = np.array(
 
 K15_NODES = np.concatenate([-_GK_POS_NODES, [0.0], _GK_POS_NODES[::-1]])
 K15_WEIGHTS = np.concatenate([_GK_POS_W15, [_GK_W15_CENTER], _GK_POS_W15[::-1]])
-# The embedded Gauss-7 rule lives on every other Kronrod node.
-G7_COLUMNS = np.arange(1, 15, 2)
+# The embedded Gauss-7 rule on every other Kronrod node, taken as a view.
+G7_COLUMNS = slice(1, 15, 2)
 G7_WEIGHTS = np.concatenate([_GK_W7[:3], [_GK_W7[3]], _GK_W7[2::-1]])
 
 
@@ -77,7 +79,8 @@ def adaptive_interval(
 
     A wave lists the left halves of every panel that refines, then their
     right halves, so each owner meets its own panels in the order a drive
-    over its interval alone would.  Each owner has its own accepted sums,
+    over its interval alone would, and with row-local sums its result is
+    that drive's bit for bit.  Each owner has its own accepted sums,
     tolerance and budget, so an owner that hits ``max_depth`` is marked not
     converged by itself.  Returns (P,) arrays ``(value, err, converged)``,
     where ``err`` is the summed Kronrod minus Gauss discrepancy of the
@@ -102,10 +105,6 @@ def adaptive_interval(
     total_len = np.array([bk - ak for ak, bk in zip(a, b)])
 
     def owner_sums(vals, mask):
-        if n_own == 1:
-            # np.sum adds pairwise and np.bincount in sequence: keeping the
-            # pairwise sum for one owner keeps every one-point value's bits.
-            return vals[mask].sum()
         return np.bincount(owner[mask], weights=vals[mask], minlength=n_own)
 
     accepted_val, accepted_err = np.zeros((2, n_own))
@@ -119,8 +118,8 @@ def adaptive_interval(
         fv = np.asarray(f(pts.ravel(), owner.repeat(K15_NODES.size)), dtype=float)
         fv = fv.reshape(pts.shape)
         panels += np.bincount(owner, minlength=n_own)
-        i15 = half * (fv @ K15_WEIGHTS)
-        i7 = half * (fv[:, G7_COLUMNS] @ G7_WEIGHTS)
+        i15 = half * (fv * K15_WEIGHTS).sum(axis=1)
+        i7 = half * (fv[:, G7_COLUMNS] * G7_WEIGHTS).sum(axis=1)
         err = np.abs(i15 - i7)
 
         scale = np.abs(accepted_val + owner_sums(i15, slice(None)))
@@ -157,9 +156,9 @@ def tensor_gauss_cell(f, lo, hi, order: int = 10):
     integrand, or a batch of integrands sharing the nodes.  Returns the
     integral plus a crude error estimate from comparing with the order//2
     embedded rule on the same cell, as two floats for a single integrand
-    and as two (...)-shaped arrays for a batch.  Each integral is one
-    ``np.dot`` of the weights with that integrand's row, so every row of a
-    batch is bit-identical to integrating it alone.
+    and as two (...)-shaped arrays for a batch.  Each integral is the row
+    sum of that integrand's weighted values, so every row of a batch is
+    bit-identical to integrating it alone.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -175,10 +174,7 @@ def tensor_gauss_cell(f, lo, hi, order: int = 10):
         wprod = np.ones(pts.shape[0])
         for g in wgrid:
             wprod = wprod * g.ravel()
-        vals = np.asarray(f(pts), dtype=float)
-        rows = vals.reshape(-1, vals.shape[-1])
-        out = np.array([np.dot(wprod, row) for row in rows])
-        return out.reshape(vals.shape[:-1])
+        return (np.asarray(f(pts), dtype=float) * wprod).sum(axis=-1)
 
     coarse = run(max(2, order // 2))
     fine = run(order)

@@ -13,10 +13,11 @@ is a stencil array of shape (grid_n,)*dim indexed by that absolute offset.
 Assembly marks the offsets the interior rows use, computes the stencil
 entry of each marked offset, and then fills A row by row with the gather
 stencil[|idx - idx_i|].  Offsets whose evaluation point touches the hat's
-support go through the full principal-value machinery, one quadrature
-each; all others integrate the smooth product hat * kernel by fixed
-tensor Gauss panels over the hat's four (resp. two) cells, batched: each
-cell is integrated once per Gauss rule for every far offset of that rule.
+support go through the full principal-value machinery, all of them in one
+batched evaluation of the hat; all others integrate the smooth product
+hat * kernel by fixed tensor Gauss panels over the hat's four (resp. two)
+cells, batched: each cell is integrated once per Gauss rule for every far
+offset of that rule.
 
 The solver deliberately does not impose any symmetry: radial symmetry and
 monotonicity of the computed profiles are emergent properties the tests
@@ -41,7 +42,7 @@ from .nonlinearity import (
     eval_G,
     eval_G_prime,
 )
-from .quadrature import QuadratureConfig, eval_FGK, eval_LK
+from .quadrature import QuadratureConfig, eval_FGK, eval_LK, require_converged
 from .quadrules import tensor_gauss_cell
 
 
@@ -113,20 +114,6 @@ def hat_field(domain: DomainSpec, center) -> Field:
     return grid_field(values, c - h, h, exterior_value=0.0, label="hat")
 
 
-def _near_offset_value(domain, spec, cfg, offset):
-    """Stencil entry via the principal-value engine.
-
-    Used for every offset whose hat support is not entirely clear of the
-    inner ball B_eps around the evaluation node — inside that ball the
-    engine's local quadratic model is the discretization, so integrating
-    the raw hat there separately would count the region twice.
-    """
-    hat = hat_field(domain, np.zeros(domain.dim))
-    x = np.asarray(offset, dtype=float) * domain.h
-    res = eval_LK(hat, spec, x, cfg)
-    return res.value, res.err_estimate
-
-
 def _far_offset_values(domain, spec, offsets):
     """Stencil entries for offsets whose node lies outside the hat support:
     a(d) = -∫ hat(y) K(d*h - y) dy over the hat's smooth cells.
@@ -191,8 +178,14 @@ def assemble_LK_matrix(
     near_cut = cfg.eps_inner / domain.h + 1.0 - 1e-9
     offsets = np.argwhere(used)
     is_near = np.max(offsets, axis=1) < near_cut
-    for off in offsets[is_near]:
-        stencil[tuple(off)], errs[tuple(off)] = _near_offset_value(domain, spec, cfg, off)
+    # Near offsets go through the engine: inside B_eps its local quadratic
+    # model is the discretization, and integrating the raw hat there too
+    # would count the region twice.
+    res = eval_LK(hat_field(domain, np.zeros(domain.dim)), spec,
+                  offsets[is_near] * domain.h, cfg)
+    require_converged(res)
+    near = tuple(offsets[is_near].T)
+    stencil[near], errs[near] = res.value, res.err_estimate
     far = tuple(offsets[~is_near].T)
     stencil[far], errs[far] = _far_offset_values(domain, spec, offsets[~is_near])
 

@@ -229,8 +229,18 @@ def sphere_pnorm_integral(n, p, exponent, tol=1e-11):
 
 # ----------------------------------------------------------------------------
 # Referees for the batched evaluation engine: the one-point engine and the
-# one-interval adaptive driver it replaced, kept as they were.
+# one-interval adaptive driver it replaced.  They share the engine's
+# arithmetic: each weighted sum is the row sum of its own node, and accepted
+# panels are added in sequence from 0.0.
 # ----------------------------------------------------------------------------
+
+
+def _sum_in_sequence(values):
+    # not the builtin sum, which compensates from Python 3.12 on
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
 
 
 def adaptive_interval_scalar(f, a, b, rel_tol=1e-9, abs_floor=0.0, max_depth=24,
@@ -260,11 +270,11 @@ def adaptive_interval_scalar(f, a, b, rel_tol=1e-9, abs_floor=0.0, max_depth=24,
         pts = mid[:, None] + half[:, None] * K15_NODES[None, :]
         fv = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
         neval += pts.size
-        i15 = half * (fv @ K15_WEIGHTS)
-        i7 = half * (fv[:, G7_COLUMNS] @ G7_WEIGHTS)
+        i15 = half * (fv * K15_WEIGHTS).sum(axis=1)
+        i7 = half * (fv[:, G7_COLUMNS] * G7_WEIGHTS).sum(axis=1)
         err = np.abs(i15 - i7)
 
-        scale = abs(accepted_val + float(np.sum(i15)))
+        scale = abs(accepted_val + _sum_in_sequence(i15))
         tol_now = max(abs_floor, rel_tol * scale)
         budget = tol_now * (hi - lo) / total_len
         ok = err <= budget
@@ -273,8 +283,8 @@ def adaptive_interval_scalar(f, a, b, rel_tol=1e-9, abs_floor=0.0, max_depth=24,
         if np.any(at_cap & ~ok):
             converged = False
 
-        accepted_val += float(np.sum(i15[keep]))
-        accepted_err += float(np.sum(err[keep]))
+        accepted_val += _sum_in_sequence(i15[keep])
+        accepted_err += _sum_in_sequence(err[keep])
 
         split = ~keep
         lo, hi, depth = (
@@ -383,7 +393,7 @@ def eval_engine_scalar(u, spec, x, cfg, gamma):
             r = rho ** (1.0 / rho_exp)
             cq = curvature_quotient(r, theta, hq, ga)
             kap = radial_profile(spec, r[:, None], theta)
-            return (cq * kap) @ wh
+            return (cq * kap * wh).sum(axis=1)
 
         inner_raw, inner_err, ok_in, n_in = adaptive_interval_scalar(
             f_inner, 0.0, eps ** rho_exp, cfg.rel_tol, abs_floor, cfg.max_depth
@@ -399,7 +409,7 @@ def eval_engine_scalar(u, spec, x, cfg, gamma):
             else:
                 p = phi(u0 - up) + phi(u0 - um)
             kap = radial_profile(spec, r[:, None], theta)
-            return (p * kap * np.exp(-al * np.log(r))[:, None]) @ wh
+            return (p * kap * np.exp(-al * np.log(r))[:, None] * wh).sum(axis=1)
 
         shell_val, shell_err, ok_sh, n_sh = adaptive_interval_scalar(
             f_shell, math.log(eps), math.log(R), cfg.rel_tol, abs_floor,

@@ -1,10 +1,10 @@
 """The batched evaluation engine against the one-point referees it replaced.
 
-A batch of one must reproduce ``oracles.eval_engine_scalar`` bit for bit,
-verdict and work count included; larger batches must match one-point calls
-to rounding (their Kronrod sums run in another order) with the same
-verdicts.  The adaptive driver is held to ``oracles.adaptive_interval_scalar``
-in the same way.
+Every weighted sum is row-local, so every point of a batch must reproduce
+its one-point call and ``oracles.eval_engine_scalar`` bit for bit, verdict
+and work count included, whatever else shares the batch and wherever the
+waves are cut.  Every owner of the adaptive driver is held to
+``oracles.adaptive_interval_scalar`` in the same way.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ from jumpkernel.quadrules import adaptive_interval
 from jumpkernel.solver import DomainSpec, solve_dirichlet_nonlinear
 
 G_HALF = NonlinearitySpec(g_kind=G_POWER, gamma=0.5, f_kind=F_CONSTANT, f_offset=1.0)
-REL = 1e-14
 
 
 def zoo(dim):
@@ -88,6 +87,7 @@ def assert_batch_of_one_is_the_referee(u, spec, x, cfg, gamma):
     assert got == expect
     assert bool(b.converged[0]) is ok
     assert int(b.neval[0]) == neval > 0
+    return expect, ok, neval
 
 
 @pytest.mark.parametrize("gamma", [None, 0.5])
@@ -116,22 +116,15 @@ def test_batch_of_one_is_the_referee_at_the_unconverged_centre(solution_1d):
 
 
 def assert_batch_matches_point_calls(u, spec, X, cfg, gamma):
+    # each point of the batch is its one-point call and the referee
     b = evaluate(u, spec, X, cfg, gamma)
     assert isinstance(b, EvalBatch)
     for i, x in enumerate(X):
-        try:
-            r = evaluate(u, spec, x, cfg, gamma)
-            ok = True
-        except NonConvergenceError as exc:
-            r, ok = exc, False
+        expect, ok, neval = assert_batch_of_one_is_the_referee(u, spec, x, cfg, gamma)
+        got = (b.value[i], b.err_estimate[i], b.tail_bound[i], b.inner_contribution[i])
+        assert got == expect
         assert bool(b.converged[i]) is ok
-        pairs = [(b.value[i], r.value), (b.err_estimate[i], r.err_estimate)]
-        if ok:
-            pairs += [(b.tail_bound[i], r.tail_bound),
-                      (b.inner_contribution[i], r.inner_contribution)]
-            assert b.neval[i] == r.neval
-        for got, want in pairs:
-            assert abs(got - want) <= REL * max(1.0, abs(want))
+        assert b.neval[i] == neval
     return b
 
 
@@ -163,7 +156,7 @@ def test_2d_batch_matches_point_calls_across_sphere_levels(gamma):
 
 def test_2d_lattice_batch_cut_into_blocks_matches_point_calls(monkeypatch):
     # a small element budget cuts the long waves, inside owners' runs too
-    monkeypatch.setattr(quadrature, "_WAVE_BLOCK", 4000)
+    monkeypatch.setattr(quadrature, "_WAVE_BLOCK", 3331)
     u = field(2, "grid")
     X = np.array([[0.3, -0.2], [-0.45, 0.1], [0.0, 0.65]])
     assert_batch_matches_point_calls(u, KernelSpec(POWER_LAW, 2, 1.0), X, default_config(u), None)
@@ -171,9 +164,10 @@ def test_2d_lattice_batch_cut_into_blocks_matches_point_calls(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [None, 0.5])
 def test_cut_one_point_waves_keep_the_referee_bits(monkeypatch, gamma):
-    # a small element budget cuts one point's long waves too; the cuts must
-    # not move a bit of its value
-    monkeypatch.setattr(quadrature, "_WAVE_BLOCK", 4000)
+    # a small element budget cuts one point's long waves too, at node caps
+    # (3331 // 20, // 40, // 80) aligned to nothing; the cuts must not move
+    # a bit of its value
+    monkeypatch.setattr(quadrature, "_WAVE_BLOCK", 3331)
     longest = []
     drive = quadrature.adaptive_interval
 
@@ -188,7 +182,7 @@ def test_cut_one_point_waves_keep_the_referee_bits(monkeypatch, gamma):
     spec = KernelSpec(POWER_LAW, 2, 1.0)
     for x in ([0.3, -0.2], [0.0, 0.0]):
         assert_batch_of_one_is_the_referee(u, spec, np.array(x), default_config(u), gamma)
-    assert max(longest) > 4000 // 20  # some wave outgrew one call at any level
+    assert max(longest) > 3331 // 20  # some wave outgrew one call at any level
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -258,8 +252,7 @@ def test_batched_driver_matches_scalar_drives_owner_by_owner():
             f_scalar, a[k], b[k], 1e-10, 1e-14, depth, bps[k])
         assert bool(conv[k]) is rc
         assert owner_neval[k] == rn
-        assert abs(val[k] - rv) <= REL * max(1.0, abs(rv))
-        assert abs(err[k] - re) <= REL * max(1.0, abs(re))
+        assert (val[k], err[k]) == (rv, re)
         # the owner's panels come in the scalar order, wave by wave
         mine = [t[o == k] for t, o in waves if np.any(o == k)]
         assert len(mine) == len(seen)

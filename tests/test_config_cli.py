@@ -228,16 +228,20 @@ def test_eval_operator_determinism(tmp_path):
 
 
 def test_non_convergence_exit_2_partial_manifest(tmp_path):
-    cfg = ExperimentConfig(
-        task=TASK_EVAL_OPERATOR, kernel=PL1,
-        quadrature=QuadratureConfig(max_depth=1),
-        points=((0.1,),),
-    )
-    assert run(cfg, tmp_path) == 2
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["status"] == "partial"
-    assert manifest["expect_met"] is False
-    assert "error" in manifest["summary"]
+    # one point, and a set evaluated as one batch
+    for i, points in enumerate([((0.1,),), ((0.1,), (-0.3,), (0.45,))]):
+        cfg = ExperimentConfig(
+            task=TASK_EVAL_OPERATOR, kernel=PL1,
+            quadrature=QuadratureConfig(max_depth=1),
+            points=points,
+        )
+        out = tmp_path / str(i)
+        assert run(cfg, out) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "partial"
+        assert manifest["expect_met"] is False
+        assert "error" in manifest["summary"]
+        assert not (out / "eval.csv").exists()
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -21,10 +21,9 @@ from jumpkernel.nonlinearity import (
     NonlinearitySpec,
     eval_f,
 )
-from jumpkernel.quadrature import eval_LK
+from jumpkernel.quadrature import EvalBatch, QuadratureConfig, eval_LK
 from jumpkernel.solver import (
     DomainSpec,
-    _near_offset_value,
     assemble_LK_matrix,
     hat_field,
     solution_field,
@@ -110,18 +109,20 @@ def test_assembly_structure():
 def test_assembly_entries_are_the_offset_stencil():
     # every entry is the quadrature of its absolute lattice offset: near
     # offsets (inside the default two-cell model ball plus the hat's reach)
-    # from the principal-value engine, all others from tensor Gauss cells
+    # from the principal-value engine, bit for bit its one-point call on the
+    # hat, all others from tensor Gauss cells
     dom = DomainSpec(dim=2, radius=1.0, grid_n=17)
     spec = KernelSpec(POWER_LAW, 2, 1.0)
     op = assemble_LK_matrix(spec, dom)
     idx = op.indices
+    hat = hat_field(dom, np.zeros(dom.dim))
     centre = int(np.flatnonzero(np.all(idx == 8, axis=1))[0])
     near = far = 0
     for i in (0, centre, len(idx) - 1):
         for j in range(0, len(idx), 7):
             off = np.abs(idx[i] - idx[j])
             if max(off) <= 2:
-                value, _ = _near_offset_value(dom, spec, op.cfg, off)
+                value = eval_LK(hat, spec, off * dom.h, op.cfg).value
                 near += 1
             else:
                 value, _ = oracles.far_offset_value(dom, spec, off)
@@ -149,7 +150,11 @@ def test_far_entries_equal_the_per_offset_referee(spec, monkeypatch):
     # the batched far stencil is bit-identical to integrating one offset at
     # a time, in A and in entry_err, on both sides of the order-12/order-8
     # switch; near entries are not under test, so they are stubbed out
-    monkeypatch.setattr(solver, "_near_offset_value", lambda *a: (0.0, 0.0))
+    def zero_batch(u, spec, x, cfg):
+        z = np.zeros(len(x))
+        return EvalBatch(z, z, z, z, np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=int))
+
+    monkeypatch.setattr(solver, "eval_LK", zero_batch)
     dom = DomainSpec(dim=spec.dim, radius=1.0, grid_n=17)
     op = assemble_LK_matrix(spec, dom)
     offs = np.abs(op.indices[:, None, :] - op.indices[None, :, :])
@@ -160,6 +165,26 @@ def test_far_entries_equal_the_per_offset_referee(spec, monkeypatch):
         value, err = oracles.far_offset_value(dom, spec, off)
         assert np.all(op.A[np.all(offs == off, axis=-1)] == value)
         assert op.entry_err[tuple(off)] == err
+
+
+def test_unconverged_near_entry_raises_with_its_one_point_value():
+    # a depth cap of 1 leaves some near offsets unconverged: assembly raises
+    # with the value of the first of them, in the order assembly lists them
+    dom = DomainSpec(dim=2, radius=1.0, grid_n=17)
+    spec = KernelSpec(POWER_LAW, 2, 1.5)
+    cfg = QuadratureConfig(eps_inner=2.0 * dom.h, max_depth=1)
+    with pytest.raises(NonConvergenceError) as exc:
+        assemble_LK_matrix(spec, dom, cfg)
+    hat = hat_field(dom, np.zeros(dom.dim))
+    unconverged = []
+    for off in np.argwhere(np.ones((3, 3), dtype=bool)):  # the near offsets
+        try:
+            eval_LK(hat, spec, off * dom.h, cfg)
+        except NonConvergenceError as e:
+            unconverged.append((e.value, e.err_estimate))
+    assert (exc.value.value, exc.value.err_estimate) == unconverged[0]
+    assert exc.value.value == pytest.approx(-50.26756108833117, rel=1e-14)
+    assert exc.value.err_estimate == pytest.approx(8.374734190266494, rel=1e-9)
 
 
 def test_assembly_annihilates_constants():
