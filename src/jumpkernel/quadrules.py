@@ -149,6 +149,22 @@ def _leggauss(order: int):
     return x, w
 
 
+def tensor_rule(lo, hi, order: int):
+    """Tensor Gauss–Legendre rule of ``order`` points per axis on the cell
+    [lo, hi]: points of shape (order^n, n) and their weights."""
+    n = lo.size
+    x, w = _leggauss(order)
+    axes = [0.5 * (lo[d] + hi[d]) + 0.5 * (hi[d] - lo[d]) * x for d in range(n)]
+    wts = [0.5 * (hi[d] - lo[d]) * w for d in range(n)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrid = np.meshgrid(*wts, indexing="ij")
+    wprod = np.ones(pts.shape[0])
+    for g in wgrid:
+        wprod = wprod * g.ravel()
+    return pts, wprod
+
+
 def tensor_gauss_cell(f, lo, hi, order: int = 10):
     """Fixed tensor Gauss–Legendre integral over an axis-aligned cell.
 
@@ -162,18 +178,9 @@ def tensor_gauss_cell(f, lo, hi, order: int = 10):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    n = lo.size
 
     def run(p):
-        x, w = _leggauss(p)
-        axes = [0.5 * (lo[d] + hi[d]) + 0.5 * (hi[d] - lo[d]) * x for d in range(n)]
-        wts = [0.5 * (hi[d] - lo[d]) * w for d in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrid = np.meshgrid(*wts, indexing="ij")
-        wprod = np.ones(pts.shape[0])
-        for g in wgrid:
-            wprod = wprod * g.ravel()
+        pts, wprod = tensor_rule(lo, hi, p)
         return (np.asarray(f(pts), dtype=float) * wprod).sum(axis=-1)
 
     coarse = run(max(2, order // 2))

@@ -329,11 +329,13 @@ def _fd_hessian(u, x):
     return H
 
 
-def eval_engine_scalar(u, spec, x, cfg, gamma):
+def eval_engine_scalar(u, spec, x, cfg, gamma, levels=None):
     """The one-point engine: L_K u(x) for gamma=None, F_{G,K} u(x) with
     G(t) = |t|^gamma t otherwise.  Returns ``(EvalResult, converged, neval)``
     where the engine raised on ``not converged`` with the result's value
-    and error estimate; ``neval`` sums the drives' integrand nodes."""
+    and error estimate; ``neval`` sums the drives' integrand nodes.
+    ``levels`` replaces the engine's sphere levels ((0,) in 1-D, (0, 1, 2)
+    in 2-D)."""
     def phi(t):
         return np.abs(t) ** gamma * t
 
@@ -418,7 +420,8 @@ def eval_engine_scalar(u, spec, x, cfg, gamma):
         neval += n_in + n_sh
         return inner_val, inner_err, shell_val, shell_err, ok_in and ok_sh
 
-    levels = (0,) if spec.dim == 1 else (0, 1, 2)
+    if levels is None:
+        levels = (0,) if spec.dim == 1 else (0, 1, 2)
     prev = None
     angular_gap = 0.0
     for lev in levels:

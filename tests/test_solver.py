@@ -359,29 +359,41 @@ def test_nonlinear_report_counts_suppressed_nonconvergence(monkeypatch):
     import jumpkernel.solver as solver_mod
 
     passes = []  # (field, nodes, converged) per PV pass
-    original = solver_mod.eval_FGK
+    original = solver_mod.eval_FGK_nodes
 
-    def recording_eval_FGK(*args, **kwargs):
+    def recording_eval_FGK_nodes(*args, **kwargs):
         out = original(*args, **kwargs)
         passes.append((args[0], np.asarray(args[3]), out.converged))
         return out
 
-    monkeypatch.setattr(solver_mod, "eval_FGK", recording_eval_FGK)
+    monkeypatch.setattr(solver_mod, "eval_FGK_nodes", recording_eval_FGK_nodes)
     g = NonlinearitySpec(g_kind=G_POWER, gamma=0.5, f_kind=F_CONSTANT, f_offset=1.0)
     dom = DomainSpec(dim=1, radius=1.0, grid_n=33)
     _, rep = solve_dirichlet_nonlinear(g, PL1, dom, solve_tol=1e-6)
     assert rep.converged
-    # each PV pass is one batched call over the interior nodes; every node
-    # that did not converge was absorbed into the residual, and the report
-    # says how many there were
+    # each PV pass is one node evaluation over the interior lattice nodes;
+    # every node that did not converge was absorbed into the residual, and
+    # the report says how many there were
+    assert len(passes) == 5
     assert all(nodes.shape == (31, 1) for _, nodes, _ in passes)
     assert rep.suppressed_nonconvergence == sum(int(np.sum(~c)) for _, _, c in passes) == 5
-    # the accepted pass is the last one; its one unconverged node is the
-    # centre, whose value is right but whose error estimate never settles
-    _, nodes, conv = passes[-1]
-    assert conv.shape == (31,)
-    assert nodes[~conv, 0].tolist() == [0.0]
+    # the one unconverged node of every pass is the centre (lattice index
+    # 16): its gradient is 0, so the inner drive's rho-integrand behaves
+    # like rho^(gamma/(2+gamma-alpha)) = rho^(1/3) at 0 and the leftmost
+    # panel cannot meet its width-proportional budget by max_depth=24; at
+    # max_depth=28 it converges, with the same value to 12 digits
+    for _, nodes, conv in passes:
+        assert conv.shape == (31,)
+        assert nodes[~conv, 0].tolist() == [16]
     assert rep.final_pass_suppressed == 1
+    fld = passes[-1][0]
+    capped, deeper = (
+        original(fld, g, PL1, [[16]], QuadratureConfig(eps_inner=2.0 * dom.h, max_depth=d))
+        for d in (24, 28)
+    )
+    assert not capped.converged[0] and deeper.converged[0]
+    # 0.0051146069 both; the deeper drive only refines the leftmost panels
+    assert abs(deeper.inner_contribution[0] - capped.inner_contribution[0]) <= 1e-12 * 0.005
     # linear solves run no such evaluations
     _, lin = solve_dirichlet(PL1, F_ONE, dom)
     assert lin.suppressed_nonconvergence == lin.final_pass_suppressed == 0
