@@ -66,7 +66,6 @@ blocks of nodes.  The finite-difference-quadrature idea of Huang & Oberman
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -585,7 +584,8 @@ def _orders(order):
 
 
 def _corners(dim):
-    return np.array(list(itertools.product((0, 1), repeat=dim)), dtype=np.intp)
+    """The corners of the unit cell, shape (2^dim, dim), in row-major order."""
+    return np.indices((2,) * dim).reshape(dim, -1).T
 
 
 def _basis(frac):

@@ -118,6 +118,24 @@ def test_1d_nodes_agree_with_the_tight_engine(fields_1d, spec, eps_cells, gamma)
         np.testing.assert_array_equal(got.converged, eng.converged)
 
 
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_1d_variable_order_kink_inside_cells(gamma):
+    # on 32 nodes (h = 2/31) the kernel's kink |z| = 1 falls inside cells,
+    # which take polar pieces split there; on the odd lattices above it
+    # falls on a lattice node
+    u = bump(1, 32)
+    spec = KernelSpec(VARIABLE_ORDER, 1, 1.2, beta_order=1.5)
+    index = np.arange(3, 29)[:, None]  # every node at least 3h from the faces
+    for eps_cells in (2, 2.5):
+        eps = eps_cells * u.grid.h
+        listed = np.concatenate([o[:, 0] for o, _ in cell_table(spec, u.grid.h, (32,), eps).near])
+        assert np.any((listed * u.grid.h < 1.0) & (1.0 < (listed + 1) * u.grid.h))
+        X = u.grid.origin + u.grid.h * index
+        got = eval_FGK_nodes(u, g_spec(gamma), spec, index, QuadratureConfig(eps_inner=eps))
+        ref = eval_FGK(u, g_spec(gamma), spec, X, QuadratureConfig(eps_inner=eps, **TIGHT))
+        assert_agrees_with_referee(u, spec, index, eps, gamma, got, ref)
+
+
 @pytest.mark.parametrize(
     "spec, eps_cells, gamma, compact",
     [
