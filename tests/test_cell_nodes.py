@@ -3,9 +3,9 @@
 The referee is the polar engine at ``rel_tol=1e-10`` and ``max_depth=30``.
 In 1-D it is the batched engine, which equals ``oracles.eval_engine_scalar``
 bit for bit (``test_batch_engine``); in 2-D it is the scalar oracle run over
-sphere levels 0-3, one more than the engine's.  Both fields are lattice
-fields whose box faces carry the exterior value: a nonlinear solution and a
-sampled compact bump.
+sphere levels 0-3, one more than the engine's.  The fields are a nonlinear
+solution and a sampled compact bump, whose box faces carry the exterior
+value, and in one 2-D case a sampled Gaussian, whose faces do not.
 
 Two gates per node: the value lies within its own ``err_estimate`` of the
 referee, and the outer part (value minus inner contribution) lies within
