@@ -151,18 +151,25 @@ def _leggauss(order: int):
 
 def tensor_rule(lo, hi, order: int):
     """Tensor Gauss–Legendre rule of ``order`` points per axis on the cell
-    [lo, hi]: points of shape (order^n, n) and their weights."""
-    n = lo.size
+    [lo, hi]: points of shape (order^n, n) and their weights.
+
+    ``lo`` and ``hi`` of shape (..., n) give one rule per cell, points
+    (..., order^n, n) and weights (..., order^n), each the same bits as
+    the rule of that cell alone.  Points run in row-major order over the
+    axes, and each weight is the product of its axis weights in axis order.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    lead, n = lo.shape[:-1], lo.shape[-1]
     x, w = _leggauss(order)
-    axes = [0.5 * (lo[d] + hi[d]) + 0.5 * (hi[d] - lo[d]) * x for d in range(n)]
-    wts = [0.5 * (hi[d] - lo[d]) * w for d in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrid = np.meshgrid(*wts, indexing="ij")
-    wprod = np.ones(pts.shape[0])
-    for g in wgrid:
-        wprod = wprod * g.ravel()
-    return pts, wprod
+    pts = np.empty(lead + (order,) * n + (n,))
+    wprod = np.ones(lead + (order,) * n)
+    for d in range(n):
+        a, b = lo[..., d, None], hi[..., d, None]
+        shape = lead + (1,) * d + (order,) + (1,) * (n - 1 - d)
+        pts[..., d] = (0.5 * (a + b) + 0.5 * (b - a) * x).reshape(shape)
+        wprod = wprod * (0.5 * (b - a) * w).reshape(shape)
+    return pts.reshape(lead + (order ** n, n)), wprod.reshape(lead + (order ** n,))
 
 
 def tensor_gauss_cell(f, lo, hi, order: int = 10):

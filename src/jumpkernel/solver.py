@@ -12,12 +12,13 @@ A[i, j] depends only on the componentwise |idx_i - idx_j|: the operator
 is a stencil array of shape (grid_n,)*dim indexed by that absolute offset.
 Assembly marks the offsets the interior rows use, computes the stencil
 entry of each marked offset, and then fills A row by row with the gather
-stencil[|idx - idx_i|].  Offsets whose evaluation point touches the hat's
-support go through the full principal-value machinery, all of them in one
-batched evaluation of the hat; all others integrate the smooth product
-hat * kernel by fixed tensor Gauss panels over the hat's four (resp. two)
-cells, batched: each cell is integrated once per Gauss rule for every far
-offset of that rule.
+stencil[|idx - idx_i|].  Offsets whose model ball reaches the hat's support
+are lattice nodes of the hat padded by zeros (``hat_field``), all of them in
+one ``quadrature.eval_FGK_nodes`` call with G = id: the local quadratic
+model inside B_eps, the hat by cells outside it.  All other offsets
+integrate the smooth product hat * kernel by fixed tensor Gauss panels over
+the hat's four (resp. two) cells, batched: each cell is integrated once per
+Gauss rule for every far offset of that rule.
 
 The principal-value passes of the nonlinear solve evaluate F_{G,K} of the
 solution field at the interior nodes by ``quadrature.eval_FGK_nodes``,
@@ -46,8 +47,8 @@ from .nonlinearity import (
     eval_G,
     eval_G_prime,
 )
-# eval_FGK stays importable here: the benchmark's tracer wraps it at
-# every module that imports it.
+# eval_LK and eval_FGK stay importable here: the benchmark's tracer wraps
+# them at every module that imports them.
 from .quadrature import (  # noqa: F401
     QuadratureConfig,
     cell_table,
@@ -117,14 +118,18 @@ class SolveReport:
     final_pass_suppressed: int = 0
 
 
-def hat_field(domain: DomainSpec, center) -> Field:
-    """The multilinear hat at ``center``: 1 there, 0 at all neighbours."""
-    h = domain.h
-    shape = (3,) * domain.dim
-    values = np.zeros(shape)
-    values[(1,) * domain.dim] = 1.0
-    c = np.asarray(center, dtype=float)
-    return grid_field(values, c - h, h, exterior_value=0.0, label="hat")
+def hat_field(domain: DomainSpec, reach: int) -> Field:
+    """The multilinear hat of the node at the origin, 1 there and 0 at every
+    other node, on a lattice of zeros of side 2 (reach + 2) + 1 about it.
+
+    The lattice node at offset o from the centre, |o|_inf <= ``reach``,
+    lies two nodes inside the box faces, so the second differences of the
+    samples at it are those of the hat on the whole lattice."""
+    c = reach + 2
+    values = np.zeros((2 * c + 1,) * domain.dim)
+    values[(c,) * domain.dim] = 1.0
+    return grid_field(values, np.full(domain.dim, -c * domain.h), domain.h,
+                      exterior_value=0.0, label="hat")
 
 
 def _far_offset_values(domain, spec, offsets):
@@ -191,11 +196,13 @@ def assemble_LK_matrix(
     near_cut = cfg.eps_inner / domain.h + 1.0 - 1e-9
     offsets = np.argwhere(used)
     is_near = np.max(offsets, axis=1) < near_cut
-    # Near offsets go through the engine: inside B_eps its local quadratic
-    # model is the discretization, and integrating the raw hat there too
-    # would count the region twice.
-    res = eval_LK(hat_field(domain, np.zeros(domain.dim)), spec,
-                  offsets[is_near] * domain.h, cfg)
+    # Near offsets are lattice nodes of the hat: inside B_eps the local
+    # quadratic model is the discretization (integrating the raw hat there
+    # too would count the region twice), and outside it the hat is
+    # integrated by cells.
+    hat = hat_field(domain, int(offsets[is_near].max()))
+    res = eval_FGK_nodes(hat, NonlinearitySpec(), spec,
+                         offsets[is_near] + hat.grid.shape[0] // 2, cfg)
     require_converged(res)
     near = tuple(offsets[is_near].T)
     stencil[near], errs[near] = res.value, res.err_estimate

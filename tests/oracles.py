@@ -19,7 +19,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import gamma
+from scipy import integrate
+from scipy.special import gamma, hyp1f1
 
 from jumpkernel.kernels import eval_kernel, outer_mass, radial_profile, singular_exponent
 from jumpkernel.quadrature import EvalResult, _feature_radii
@@ -33,35 +34,40 @@ from jumpkernel.quadrules import (
 )
 
 
-def _sphere_grid(dim, m_theta):
+def _half_circle(dim, m_theta):
+    """One direction of each antipodal pair of the uniform grid of
+    ``m_theta`` directions, with that pair's weight."""
     if dim == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    phis = 2.0 * np.pi * np.arange(m_theta) / m_theta
+        return np.array([[1.0]]), np.array([2.0])
+    phis = 2.0 * np.pi * np.arange(m_theta // 2) / m_theta
     theta = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    return theta, np.full(m_theta, 2.0 * np.pi / m_theta)
+    return theta, np.full(m_theta // 2, 4.0 * np.pi / m_theta)
 
 
 def _paired_integrand(u, spec, x, s, theta, w_theta, u0, hess, r_model):
-    """Integrand of the log-radius integral at nodes ``s``: (m_s,)."""
-    n = spec.dim
+    """Integrand of the log-radius integral at nodes ``s``: (m_s,).
+
+    ``theta`` holds one direction per antipodal pair: the paired difference
+    at +theta and at -theta is the same, and so is K, since every zoo
+    kernel is even.  The kernel is its profile times r^(-n-a), formed from
+    r and theta apart, so no point is built from an offset at all.
+    """
     quad = np.einsum("ki,ij,kj->k", theta, hess, theta)
+    r_pow = -singular_exponent(spec)  # K r^n = profile r^(-a)
     out = np.empty(s.size)
-    block = max(1, 4_000_000 // theta.shape[0])
+    block = max(1, (1 << 16) // theta.shape[0])
     for start in range(0, s.size, block):
         r = np.exp(s[start:start + block])
-        pts = x[None, None, :] + r[:, None, None] * theta[None, :, :]
-        mir = x[None, None, :] - r[:, None, None] * theta[None, :, :]
-        up = np.asarray(u.value(pts.reshape(-1, n))).reshape(r.size, -1)
-        um = np.asarray(u.value(mir.reshape(-1, n))).reshape(r.size, -1)
+        step = r[:, None, None] * theta[None, :, :]
+        up = np.asarray(u.value(x + step)).reshape(r.size, -1)
+        um = np.asarray(u.value(x - step)).reshape(r.size, -1)
         second = 2.0 * u0 - up - um
-        model = -(r[:, None] ** 2) * quad[None, :]
-        second = np.where(r[:, None] < r_model, model, second)
-        # kernel argument built from the offsets, never from pts - x: for
-        # radii below float eps the subtraction would cancel to exactly 0
-        offs = (r[:, None, None] * theta[None, :, :]).reshape(-1, n)
-        kvals = eval_kernel(spec, offs).reshape(r.size, -1)
-        # 1/2 (pairing) * K * r^{n-1} * r (log jacobian)
-        out[start:start + block] = 0.5 * (second * kvals) @ w_theta * r ** n
+        model = r < r_model
+        if np.any(model):
+            second[model] = -(r[model, None] ** 2) * quad[None, :]
+        kap = radial_profile(spec, r[:, None], theta[None, :, :])
+        # 1/2 (pairing) * K * r^{n-1} * r (log jacobian), over both signs
+        out[start:start + block] = 0.5 * (second * kap) @ w_theta * r ** r_pow
     return out
 
 
@@ -76,7 +82,7 @@ def oracle_LK(u, spec, x, rel_tol=1e-9, s_lo=-44.0, s_hi=44.0, r_model=1e-5):
     hess = np.asarray(u.hessian(x), dtype=float)
     prev = None
     for m_s, m_theta in _LADDER:
-        theta, w_theta = _sphere_grid(spec.dim, m_theta)
+        theta, w_theta = _half_circle(spec.dim, m_theta)
         s = np.linspace(s_lo, s_hi, m_s)
         vals = _paired_integrand(u, spec, x, s, theta, w_theta, u0, hess, r_model)
         cur = float(np.trapezoid(vals, s))
@@ -134,6 +140,69 @@ def far_offset_value(domain, spec, offset):
         total += v
         err += e
     return -total, err
+
+
+def _kernel_density(spec, z):
+    """K(z) at one offset ``z`` for the PowerLaw and MatrixTransformed
+    kernels, written out from their definitions."""
+    z = np.asarray(z, dtype=float)
+    n, a = z.size, spec.alpha
+    if spec.kind == "PowerLaw":
+        return (2.0 - a) * spec.c_lower * math.sqrt(float(z @ z)) ** (-n - a)
+    if spec.kind == "MatrixTransformed":
+        lam = np.asarray(spec.lambda_diag, dtype=float)
+        q = z / lam
+        return (2.0 - a) / float(np.prod(lam)) * math.sqrt(float(q @ q)) ** (-n - a)
+    raise ValueError(f"no density for {spec.kind}")
+
+
+_QUAD_TOL = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
+
+
+def hat_mass_outside_ball(spec, h, offset, eps):
+    """Referee for the hat's part of a near stencil entry:
+    ∫_{|y - x| > eps} hat(y) K(y - x) dy at x = offset * h, where hat(y) =
+    prod_d (1 - |y_d| / h)_+.
+
+    Each of the hat's 2^dim cells is integrated by nested
+    ``scipy.integrate.quad``, minus the disc |y - x| < eps: in 2-D the
+    inner integral runs over the one or two pieces of a column that lie
+    outside the disc, and the outer one is split where the disc's edge
+    meets the column ends (the tangents and the cell's corners)."""
+    x = np.asarray(offset, dtype=float) * h
+    total = 0.0
+    for signs in itertools.product((-1.0, 1.0), repeat=x.size):
+        lo = np.minimum(0.0, np.array(signs) * h)
+        hi = np.maximum(0.0, np.array(signs) * h)
+
+        def outside(lo_d, hi_d, c, s):
+            """The pieces of [lo_d, hi_d] outside (c - s, c + s)."""
+            return [(a, b) for a, b in ((lo_d, min(hi_d, c - s)), (max(lo_d, c + s), hi_d)) if b > a]
+
+        if x.size == 1:
+            for a, b in outside(lo[0], hi[0], x[0], eps):
+                total += integrate.quad(lambda y: (1.0 - abs(y) / h) * _kernel_density(spec, [y - x[0]]),
+                              a, b, **_QUAD_TOL)[0]
+            continue
+
+        def column(y1):
+            d1 = y1 - x[0]
+            s = math.sqrt(eps * eps - d1 * d1) if abs(d1) < eps else 0.0
+            out = 0.0
+            for a, b in outside(lo[1], hi[1], x[1], s):
+                out += integrate.quad(lambda y2: (1.0 - abs(y2) / h) * _kernel_density(spec, [d1, y2 - x[1]]),
+                            a, b, **_QUAD_TOL)[0]
+            return (1.0 - abs(y1) / h) * out
+
+        breaks = [x[0] - eps, x[0] + eps]
+        for c in (lo[1], hi[1]):
+            if abs(c - x[1]) < eps:
+                s = math.sqrt(eps * eps - (c - x[1]) ** 2)
+                breaks += [x[0] - s, x[0] + s]
+        edges = [lo[0]] + sorted(t for t in breaks if lo[0] < t < hi[0]) + [hi[0]]
+        for a, b in zip(edges, edges[1:]):
+            total += integrate.quad(column, a, b, **_QUAD_TOL)[0]
+    return total
 
 
 def scan_axis_per_plane(u, axis):
@@ -195,6 +264,25 @@ def torsion_ball(x, alpha):
     kappa = 4.0 ** s * gamma(1.0 + s) * gamma(n / 2.0 + s) / gamma(n / 2.0)
     q = np.maximum(1.0 - np.sum(x * x, axis=-1), 0.0)
     return c_ns / ((2.0 - alpha) * kappa) * q ** s
+
+
+def powerlaw_gaussian_LK(x, alpha):
+    """L_K exp(-|x|^2) for the PowerLaw kernel, in closed form.
+
+    With s = alpha/2, (-Delta)^s exp(-|x|^2) = 4^s Gamma(n/2+s) / Gamma(n/2)
+    1F1(n/2+s; n/2; -|x|^2) (Kummer's function), and L_K = (2 - alpha) /
+    C_{n,s} (-Delta)^s as in ``torsion_ball``, so
+
+        L_K exp(-|x|^2) = (2 - alpha) pi^(n/2) |Gamma(-s)| / Gamma(n/2)
+                          1F1(n/2 + s; n/2; -|x|^2).
+
+    ``x`` has shape (..., n).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    s = alpha / 2.0
+    c = (2.0 - alpha) * math.pi ** (n / 2.0) * abs(gamma(-s)) / gamma(n / 2.0)
+    return c * hyp1f1(n / 2.0 + s, n / 2.0, -np.sum(x * x, axis=-1))
 
 
 def sphere_pnorm_integral(n, p, exponent, tol=1e-11):

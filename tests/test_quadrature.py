@@ -86,6 +86,46 @@ def test_oracle_agrees_with_closed_forms():
         assert abs(val - exact) <= 5e-8 * max(1.0, abs(exact)), (n, a)
 
 
+def test_kummer_closed_form_meets_the_peak_values():
+    for (n, a), exact in GAUSS_PEAK.items():
+        assert oracles.powerlaw_gaussian_LK(np.zeros(n), a) == pytest.approx(exact, rel=1e-14)
+
+
+# Points where a shell drive seeded with one panel over (eps, R) accepts
+# Kronrod and Gauss sums that agree by accident, with errors of 5.8e-5 to
+# 3.2e-4 against estimates of 4.4e-7 to 4.9e-6; the log-uniform cuts of
+# ``_feature_radii`` are what keep them within their estimates.
+ACCIDENT_POINTS = [
+    (1.0, (0.3299766121527483, 0.0033058115705770774)),
+    (1.0, (-0.30958269535798877, -0.11413823325655414)),
+    (1.5, (0.2562670205147697, -0.4532520771823556)),
+    (1.5, (-0.37635438495519224, 0.35976163215198653)),
+    (1.5, (0.3751791476471027,)),
+    (1.5, (-0.3751791476471027,)),
+]
+
+
+@pytest.mark.parametrize("alpha, x", ACCIDENT_POINTS)
+def test_gaussian_within_its_estimate_where_wide_panels_agreed_by_accident(alpha, x):
+    x = np.array(x)
+    res = eval_LK(gaussian_bump(x.size), KernelSpec(POWER_LAW, x.size, alpha), x)
+    assert abs(res.value - oracles.powerlaw_gaussian_LK(x, alpha)) <= res.err_estimate
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gaussian_within_its_estimate_at_random_points(dim):
+    # 1000 points per alpha, one batch each.  alpha = 1.9 stays out: there
+    # the quadratic model below r_switch truncates a term that the estimate
+    # does not carry (see ROADMAP).
+    rng = np.random.default_rng(dim)
+    for alpha in (0.5, 1.0, 1.5):
+        X = rng.uniform(-1.0, 1.0, size=(1000, dim))
+        res = eval_LK(gaussian_bump(dim), KernelSpec(POWER_LAW, dim, alpha), X)
+        assert np.all(res.converged)
+        err = np.abs(res.value - oracles.powerlaw_gaussian_LK(X, alpha))
+        assert np.all(err <= res.err_estimate), (alpha, X[err > res.err_estimate])
+
+
 def test_odd_bounded_field_evaluates_to_zero_at_origin():
     def odd(pts):
         pts = np.asarray(pts, dtype=float)
